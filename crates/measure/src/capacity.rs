@@ -3,6 +3,8 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
+use crate::fold::{self, DayFold, DayView};
+use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{BandwidthClass, Caps};
 use i2p_sim::world::World;
@@ -34,22 +36,38 @@ pub fn capacity_histogram_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> CapacityHistogram {
-    let mut totals = [0usize; 7];
-    let day_count = days.clone().count().max(1);
-    let k = src.vantage_count();
-    for d in days {
-        src.for_each_observation_ref(d, k, &mut |rec| {
+    let mut hist = CapacityFold::default();
+    fold::run(src, days, &mut hist);
+    hist.finish()
+}
+
+/// Fig. 9 as a per-day fold: published-letter totals over the days
+/// folded.
+#[derive(Default)]
+pub struct CapacityFold {
+    totals: [usize; 7],
+    days: usize,
+}
+
+impl CapacityFold {
+    /// The daily average per letter.
+    pub fn finish(self) -> CapacityHistogram {
+        let day_count = self.days.max(1);
+        CapacityHistogram { counts: self.totals.map(|t| t / day_count), days: day_count }
+    }
+}
+
+impl DayFold for CapacityFold {
+    fn day(&mut self, _day: u64, view: &DayView<'_>) {
+        self.days += 1;
+        for rec in view.observations() {
             for ch in rec.caps.chars() {
                 if let Some(b) = BandwidthClass::from_letter(ch) {
-                    totals[idx(b)] += 1;
+                    self.totals[idx(b)] += 1;
                 }
             }
-        });
+        }
     }
-    for t in &mut totals {
-        *t /= day_count;
-    }
-    CapacityHistogram { counts: totals, days: day_count }
 }
 
 /// Table 1: percentage of routers per bandwidth letter within the
@@ -76,43 +94,54 @@ pub fn bandwidth_table(world: &World, fleet: &Fleet, day: u64) -> BandwidthTable
 
 /// [`bandwidth_table`] off any source.
 pub fn bandwidth_table_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> BandwidthTable {
-    let mut counts = [[0usize; 7]; 4]; // ff, reach, unreach, total
-    let mut sizes = [0usize; 4];
-    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
-        let caps: Caps = rec.parsed_caps();
-        let mut groups = [3usize, 0, 0];
-        let mut n_groups = 1;
-        if caps.floodfill {
-            groups[n_groups] = 0;
+    let mut table = BandwidthTable::default();
+    fold::run(src, day..day + 1, &mut |_, view: &DayView<'_>| {
+        table = BandwidthTable::of(view.observations());
+    });
+    table
+}
+
+impl BandwidthTable {
+    /// Table 1 over one day's full-fleet union observations.
+    pub fn of(observations: &[ObservedRouterInfo]) -> BandwidthTable {
+        let mut counts = [[0usize; 7]; 4]; // ff, reach, unreach, total
+        let mut sizes = [0usize; 4];
+        for rec in observations {
+            let caps: Caps = rec.parsed_caps();
+            let mut groups = [3usize, 0, 0];
+            let mut n_groups = 1;
+            if caps.floodfill {
+                groups[n_groups] = 0;
+                n_groups += 1;
+            }
+            groups[n_groups] = if caps.reachable { 1 } else { 2 };
             n_groups += 1;
-        }
-        groups[n_groups] = if caps.reachable { 1 } else { 2 };
-        n_groups += 1;
-        let groups = &groups[..n_groups];
-        for &g in groups {
-            sizes[g] += 1;
-        }
-        for ch in rec.caps.chars() {
-            if let Some(b) = BandwidthClass::from_letter(ch) {
-                for &g in groups {
-                    counts[g][idx(b)] += 1;
+            let groups = &groups[..n_groups];
+            for &g in groups {
+                sizes[g] += 1;
+            }
+            for ch in rec.caps.chars() {
+                if let Some(b) = BandwidthClass::from_letter(ch) {
+                    for &g in groups {
+                        counts[g][idx(b)] += 1;
+                    }
                 }
             }
         }
-    });
-    let pct = |g: usize| -> [f64; 7] {
-        let mut out = [0.0; 7];
-        for i in 0..7 {
-            out[i] = 100.0 * counts[g][i] as f64 / sizes[g].max(1) as f64;
+        let pct = |g: usize| -> [f64; 7] {
+            let mut out = [0.0; 7];
+            for i in 0..7 {
+                out[i] = 100.0 * counts[g][i] as f64 / sizes[g].max(1) as f64;
+            }
+            out
+        };
+        BandwidthTable {
+            floodfill: pct(0),
+            reachable: pct(1),
+            unreachable: pct(2),
+            total: pct(3),
+            group_sizes: sizes,
         }
-        out
-    };
-    BandwidthTable {
-        floodfill: pct(0),
-        reachable: pct(1),
-        unreachable: pct(2),
-        total: pct(3),
-        group_sizes: sizes,
     }
 }
 
@@ -140,23 +169,34 @@ pub fn floodfill_estimate(world: &World, fleet: &Fleet, day: u64) -> FloodfillEs
 
 /// [`floodfill_estimate`] off any source.
 pub fn floodfill_estimate_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> FloodfillEstimate {
-    let mut ff = 0usize;
-    let mut qualified = 0usize;
-    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
-        let caps = rec.parsed_caps();
-        if caps.floodfill {
-            ff += 1;
-            if caps.qualified_floodfill() {
-                qualified += 1;
+    let mut est = FloodfillEstimate::of(&[]);
+    fold::run(src, day..day + 1, &mut |_, view: &DayView<'_>| {
+        est = FloodfillEstimate::of(view.observations());
+    });
+    est
+}
+
+impl FloodfillEstimate {
+    /// The §5.3.1 estimate from one day's full-fleet union observations.
+    pub fn of(observations: &[ObservedRouterInfo]) -> FloodfillEstimate {
+        let mut ff = 0usize;
+        let mut qualified = 0usize;
+        for rec in observations {
+            let caps = rec.parsed_caps();
+            if caps.floodfill {
+                ff += 1;
+                if caps.qualified_floodfill() {
+                    qualified += 1;
+                }
             }
         }
-    });
-    let share = qualified as f64 / ff.max(1) as f64;
-    FloodfillEstimate {
-        observed_floodfills: ff,
-        qualified_share: share,
-        qualified_floodfills: qualified,
-        estimated_population: qualified as f64 / 0.06,
+        let share = qualified as f64 / ff.max(1) as f64;
+        FloodfillEstimate {
+            observed_floodfills: ff,
+            qualified_share: share,
+            qualified_floodfills: qualified,
+            estimated_population: qualified as f64 / 0.06,
+        }
     }
 }
 

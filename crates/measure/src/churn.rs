@@ -9,6 +9,7 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
+use crate::fold::{self, DayFold, DayView};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
 use i2p_sim::world::World;
@@ -47,41 +48,71 @@ pub fn churn_curves(world: &World, fleet: &Fleet, days: u64, horizon: usize) -> 
 
 /// [`churn_curves`] off any source, over the source's own day range.
 pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
-    // Sighting matrix: peer -> sorted days sighted. Survival needs only
-    // membership, so no observation records are materialized at all.
-    let span = src.days();
-    let k = src.vantage_count();
-    let mut sightings: FxHashMap<u32, Vec<u64>> = FxHashMap::default();
-    for d in span.clone() {
-        src.for_each_union_id(d, k, &mut |id| {
-            sightings.entry(id).or_default().push(d);
+    let mut churn = ChurnFold::default();
+    fold::run(src, src.days(), &mut churn);
+    churn.finish(horizon)
+}
+
+/// One peer's sighting history, in fixed size: survival needs only the
+/// first and last sighted days and the length of the streak that opens
+/// at the first sighting (still running while it ends on `last`).
+#[derive(Clone, Copy)]
+struct PeerSpan {
+    first: u64,
+    last: u64,
+    streak: u64,
+}
+
+/// Fig. 7 as a per-day fold over the fleet's sighting sets. Days must
+/// arrive in ascending order (the driver's contract); membership is all
+/// it reads, so no observation records are materialized for it alone.
+#[derive(Default)]
+pub struct ChurnFold {
+    peers: FxHashMap<u32, PeerSpan>,
+    /// One past the last day folded.
+    end: u64,
+}
+
+impl DayFold for ChurnFold {
+    fn day(&mut self, day: u64, view: &DayView<'_>) {
+        self.end = day + 1;
+        view.for_each_union_id(|id| {
+            self.peers
+                .entry(id)
+                .and_modify(|p| {
+                    if day == p.last + 1 && p.last == p.first + p.streak - 1 {
+                        p.streak += 1;
+                    }
+                    p.last = day;
+                })
+                .or_insert(PeerSpan { first: day, last: day, streak: 1 });
         });
     }
-    let max_first = span.end.saturating_sub(horizon as u64);
-    let mut cont_hist = vec![0usize; horizon + 1];
-    let mut int_hist = vec![0usize; horizon + 1];
-    let mut cohort = 0usize;
-    for days_seen in sightings.values() {
-        let first = days_seen[0]; // i2plint: allow(index-literal) -- sighting lists are created non-empty: first insert pushes a day
-        if first > max_first {
-            continue;
+}
+
+impl ChurnFold {
+    /// The survival curves to `horizon` days. Only peers first seen
+    /// early enough to have `horizon` days of follow-up before the end
+    /// of the folded window form the cohort.
+    pub fn finish(self, horizon: usize) -> ChurnCurves {
+        let max_first = self.end.saturating_sub(horizon as u64);
+        let mut cont_hist = vec![0usize; horizon + 1];
+        let mut int_hist = vec![0usize; horizon + 1];
+        let mut cohort = 0usize;
+        for p in self.peers.values().filter(|p| p.first <= max_first) {
+            cohort += 1;
+            // Intermittent span: first to last sighting, inclusive.
+            let span = (p.last - p.first) as usize + 1;
+            cont_hist[(p.streak as usize).min(horizon)] += 1;
+            int_hist[span.min(horizon)] += 1;
         }
-        cohort += 1;
-        // Continuous streak from first sighting.
-        let mut streak = 1usize;
-        for w in days_seen.windows(2) {
-            if w[1] == w[0] + 1 { // i2plint: allow(index-literal) -- windows(2) yields exactly 2 elements
-                streak += 1;
-            } else {
-                break;
-            }
-        }
-        // Intermittent span: first to last sighting, inclusive.
-        let span = (days_seen[days_seen.len() - 1] - first) as usize + 1;
-        cont_hist[streak.min(horizon)] += 1;
-        int_hist[span.min(horizon)] += 1;
+        survival(cont_hist, int_hist, cohort, horizon)
     }
-    // Convert histograms to survival percentages: S(n) = %{duration > n}.
+}
+
+/// Converts duration histograms to survival percentages:
+/// S(n) = %{duration > n}.
+fn survival(cont_hist: Vec<usize>, int_hist: Vec<usize>, cohort: usize, horizon: usize) -> ChurnCurves {
     let to_survival = |hist: &[usize]| -> Vec<f64> {
         let total = cohort.max(1) as f64;
         let mut remaining = cohort;
@@ -103,6 +134,69 @@ pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) ->
 mod tests {
     use super::*;
     use i2p_sim::world::WorldConfig;
+
+    /// The sighted-days computation the fixed-size fold replaced: every
+    /// peer's full list of sighted days, walked once at the end. Kept
+    /// as the oracle the fold must match exactly.
+    fn churn_curves_oracle<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
+        let span = src.days();
+        let k = src.vantage_count();
+        let mut sightings: FxHashMap<u32, Vec<u64>> = FxHashMap::default();
+        for d in span.clone() {
+            src.for_each_union_id(d, k, &mut |id| {
+                sightings.entry(id).or_default().push(d);
+            });
+        }
+        let max_first = span.end.saturating_sub(horizon as u64);
+        let mut cont_hist = vec![0usize; horizon + 1];
+        let mut int_hist = vec![0usize; horizon + 1];
+        let mut cohort = 0usize;
+        for days_seen in sightings.values() {
+            let first = days_seen[0];
+            if first > max_first {
+                continue;
+            }
+            cohort += 1;
+            let mut streak = 1usize;
+            for w in days_seen.windows(2) {
+                if w[1] == w[0] + 1 {
+                    streak += 1;
+                } else {
+                    break;
+                }
+            }
+            let span = (days_seen[days_seen.len() - 1] - first) as usize + 1;
+            cont_hist[streak.min(horizon)] += 1;
+            int_hist[span.min(horizon)] += 1;
+        }
+        survival(cont_hist, int_hist, cohort, horizon)
+    }
+
+    #[test]
+    fn fixed_size_fold_matches_the_sighted_days_oracle() {
+        use crate::engine::HarvestEngine;
+        use crate::keyspace::VisibilityModel;
+        use i2p_faults::{FaultPlane, FaultSpec};
+        let w = World::generate(WorldConfig { days: 40, scale: 0.015, seed: 23 });
+        // Vantage outages darken whole days, which breaks streaks that
+        // the clean harvest would keep running.
+        let outages = FaultPlane::new(FaultSpec::parse("outage=0.3").expect("spec"), 9);
+        for (fleet, plane) in [
+            (Fleet::paper_main(), FaultPlane::zero()),
+            (Fleet::alternating(3), FaultPlane::zero()),
+            (Fleet::alternating(3), outages),
+        ] {
+            let engine =
+                HarvestEngine::build_faulted(&w, &fleet, 0..40, &VisibilityModel::Uniform, &plane);
+            for horizon in [0, 1, 7, 30, 39, 45] {
+                let fold = churn_curves_from(&engine, horizon);
+                let oracle = churn_curves_oracle(&engine, horizon);
+                assert_eq!(fold.cohort, oracle.cohort, "horizon {horizon}");
+                assert_eq!(fold.continuous, oracle.continuous, "horizon {horizon}");
+                assert_eq!(fold.intermittent, oracle.intermittent, "horizon {horizon}");
+            }
+        }
+    }
 
     fn curves() -> ChurnCurves {
         let w = World::generate(WorldConfig { days: 60, scale: 0.015, seed: 21 });

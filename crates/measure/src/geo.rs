@@ -8,9 +8,10 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
-use crate::ipchurn::collect_ip_stats_from;
+use crate::ipchurn::{collect_ip_stats_from, PeerIpStats};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
+use i2p_geoip::GeoDb;
 use i2p_sim::world::World;
 
 /// A ranked distribution row.
@@ -52,48 +53,54 @@ pub fn country_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> GeoReport {
-    let geo = src.geo();
-    let stats = collect_ip_stats_from(src, days.clone());
-    let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
-    let mut unresolved = 0usize;
-    for s in stats.values() {
-        // The §5.3.2 rule: one count per (peer, country).
-        for &c in &s.countries {
-            *per_country.entry(c).or_default() += 1;
-        }
-        // Addresses without any resolution.
-        if s.countries.is_empty() && !s.ips.is_empty() {
-            unresolved += s.ips.len();
-        }
-    }
-    let total: usize = per_country.values().sum();
-    let mut items: Vec<(usize, usize)> = per_country.into_iter().collect();
-    items.sort_by_key(|item| std::cmp::Reverse(item.1));
-    let mut cum = 0usize;
-    let mut censored_peers = 0;
-    let mut censored_countries = 0;
-    let rows = items
-        .iter()
-        .map(|&(c, n)| {
-            cum += n;
-            if geo.is_censored(c) {
-                censored_peers += n;
-                censored_countries += 1;
+    GeoReport::of(&collect_ip_stats_from(src, days), src.geo())
+}
+
+impl GeoReport {
+    /// Fig. 10 from the per-peer IP map (see
+    /// [`IpStatsFold`](crate::ipchurn::IpStatsFold)).
+    pub fn of(stats: &FxHashMap<u32, PeerIpStats>, geo: &GeoDb) -> GeoReport {
+        let mut per_country: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut unresolved = 0usize;
+        for s in stats.values() {
+            // The §5.3.2 rule: one count per (peer, country).
+            for &c in &s.countries {
+                *per_country.entry(c).or_default() += 1;
             }
-            RankedRow {
-                label: geo.country_name(c).to_string(),
-                peers: n,
-                cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+            // Addresses without any resolution.
+            if s.countries.is_empty() && !s.ips.is_empty() {
+                unresolved += s.ips.len();
             }
-        })
-        .collect::<Vec<_>>();
-    GeoReport {
-        countries_observed: rows.len(),
-        rows,
-        total,
-        censored_peers,
-        censored_countries,
-        unresolved_addresses: unresolved,
+        }
+        let total: usize = per_country.values().sum();
+        let mut items: Vec<(usize, usize)> = per_country.into_iter().collect();
+        items.sort_by_key(|item| std::cmp::Reverse(item.1));
+        let mut cum = 0usize;
+        let mut censored_peers = 0;
+        let mut censored_countries = 0;
+        let rows = items
+            .iter()
+            .map(|&(c, n)| {
+                cum += n;
+                if geo.is_censored(c) {
+                    censored_peers += n;
+                    censored_countries += 1;
+                }
+                RankedRow {
+                    label: geo.country_name(c).to_string(),
+                    peers: n,
+                    cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+                }
+            })
+            .collect::<Vec<_>>();
+        GeoReport {
+            countries_observed: rows.len(),
+            rows,
+            total,
+            censored_peers,
+            censored_countries,
+            unresolved_addresses: unresolved,
+        }
     }
 }
 
@@ -117,29 +124,35 @@ pub fn as_distribution_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> AsReport {
-    let stats = collect_ip_stats_from(src, days);
-    let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
-    for s in stats.values() {
-        for &a in &s.ases {
-            *per_as.entry(a).or_default() += 1;
-        }
-    }
-    let total: usize = per_as.values().sum();
-    let mut items: Vec<(u32, usize)> = per_as.into_iter().collect();
-    items.sort_by_key(|item| std::cmp::Reverse(item.1));
-    let mut cum = 0usize;
-    let rows = items
-        .iter()
-        .map(|&(a, n)| {
-            cum += n;
-            RankedRow {
-                label: a.to_string(),
-                peers: n,
-                cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+    AsReport::of(&collect_ip_stats_from(src, days))
+}
+
+impl AsReport {
+    /// Fig. 11 from the per-peer IP map.
+    pub fn of(stats: &FxHashMap<u32, PeerIpStats>) -> AsReport {
+        let mut per_as: FxHashMap<u32, usize> = FxHashMap::default();
+        for s in stats.values() {
+            for &a in &s.ases {
+                *per_as.entry(a).or_default() += 1;
             }
-        })
-        .collect();
-    AsReport { rows, total }
+        }
+        let total: usize = per_as.values().sum();
+        let mut items: Vec<(u32, usize)> = per_as.into_iter().collect();
+        items.sort_by_key(|item| std::cmp::Reverse(item.1));
+        let mut cum = 0usize;
+        let rows = items
+            .iter()
+            .map(|&(a, n)| {
+                cum += n;
+                RankedRow {
+                    label: a.to_string(),
+                    peers: n,
+                    cumulative_pct: 100.0 * cum as f64 / total.max(1) as f64,
+                }
+            })
+            .collect();
+        AsReport { rows, total }
+    }
 }
 
 #[cfg(test)]

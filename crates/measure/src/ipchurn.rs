@@ -8,6 +8,7 @@
 
 use crate::engine::HarvestEngine;
 use crate::fleet::Fleet;
+use crate::fold::{self, DayFold, DayView};
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
 use i2p_sim::world::World;
@@ -62,15 +63,39 @@ pub fn collect_ip_stats_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> FxHashMap<u32, PeerIpStats> {
-    let geo = src.geo();
-    let k = src.vantage_count();
-    let mut stats: FxHashMap<u32, PeerIpStats> = FxHashMap::default();
-    for day in days {
-        src.for_each_observation_ref(day, k, &mut |rec| {
+    let mut stats = IpStatsFold::default();
+    fold::run(src, days, &mut stats);
+    stats.finish()
+}
+
+/// The per-peer IP/AS map as a per-day fold — one map feeds Figs. 8,
+/// 10, 11 and 12.
+///
+/// Insertion order is part of the output: Figs. 10 and 11 break
+/// ranking ties by the map's iteration order, so entries go in by day
+/// ascending, then observation row (peer id) ascending, then
+/// [`ObservedRouterInfo::ips`](crate::observed::ObservedRouterInfo::ips)
+/// order.
+#[derive(Default)]
+pub struct IpStatsFold {
+    stats: FxHashMap<u32, PeerIpStats>,
+}
+
+impl IpStatsFold {
+    /// The accumulated per-peer map.
+    pub fn finish(self) -> FxHashMap<u32, PeerIpStats> {
+        self.stats
+    }
+}
+
+impl DayFold for IpStatsFold {
+    fn day(&mut self, _day: u64, view: &DayView<'_>) {
+        let geo = view.geo();
+        for rec in view.observations() {
             if rec.ipv4.is_none() {
-                return;
+                continue;
             }
-            let entry = stats.entry(rec.peer_id).or_default();
+            let entry = self.stats.entry(rec.peer_id).or_default();
             for ip in rec.ips() {
                 entry.ips.insert(ip);
                 if let Some(loc) = geo.lookup(ip) {
@@ -78,9 +103,8 @@ pub fn collect_ip_stats_from<S: SnapshotSource + ?Sized>(
                     entry.countries.insert(loc.country);
                 }
             }
-        });
+        }
     }
-    stats
 }
 
 /// Builds the Fig. 8 / Fig. 12 report.
@@ -94,36 +118,42 @@ pub fn ip_churn_report_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> IpChurnReport {
-    let stats = collect_ip_stats_from(src, days);
-    const IP_BUCKETS: usize = 16;
-    const AS_BUCKETS: usize = 10;
-    let mut ip_hist = vec![0usize; IP_BUCKETS + 1];
-    let mut as_hist = vec![0usize; AS_BUCKETS + 1];
-    let mut multi = 0;
-    let mut over100 = 0;
-    let mut max_ases = 0;
-    let mut max_countries = 0;
-    for s in stats.values() {
-        let n_ips = s.ips.len();
-        ip_hist[n_ips.min(IP_BUCKETS)] += 1;
-        if n_ips >= 2 {
-            multi += 1;
-            as_hist[s.ases.len().min(AS_BUCKETS)] += 1;
+    IpChurnReport::of(&collect_ip_stats_from(src, days))
+}
+
+impl IpChurnReport {
+    /// The Fig. 8 / Fig. 12 aggregate of a per-peer map.
+    pub fn of(stats: &FxHashMap<u32, PeerIpStats>) -> IpChurnReport {
+        const IP_BUCKETS: usize = 16;
+        const AS_BUCKETS: usize = 10;
+        let mut ip_hist = vec![0usize; IP_BUCKETS + 1];
+        let mut as_hist = vec![0usize; AS_BUCKETS + 1];
+        let mut multi = 0;
+        let mut over100 = 0;
+        let mut max_ases = 0;
+        let mut max_countries = 0;
+        for s in stats.values() {
+            let n_ips = s.ips.len();
+            ip_hist[n_ips.min(IP_BUCKETS)] += 1;
+            if n_ips >= 2 {
+                multi += 1;
+                as_hist[s.ases.len().min(AS_BUCKETS)] += 1;
+            }
+            if n_ips > 100 {
+                over100 += 1;
+            }
+            max_ases = max_ases.max(s.ases.len());
+            max_countries = max_countries.max(s.countries.len());
         }
-        if n_ips > 100 {
-            over100 += 1;
+        IpChurnReport {
+            ip_hist,
+            as_hist,
+            known_ip_peers: stats.len(),
+            multi_ip_peers: multi,
+            over_100_ips: over100,
+            max_ases,
+            max_countries,
         }
-        max_ases = max_ases.max(s.ases.len());
-        max_countries = max_countries.max(s.countries.len());
-    }
-    IpChurnReport {
-        ip_hist,
-        as_hist,
-        known_ip_peers: stats.len(),
-        multi_ip_peers: multi,
-        over_100_ips: over100,
-        max_ases,
-        max_countries,
     }
 }
 

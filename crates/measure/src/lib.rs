@@ -45,6 +45,9 @@
 //!   the query surface the figure pipelines consume, implemented by the
 //!   live [`engine::HarvestEngine`] and by `i2p-store`'s loaded
 //!   snapshots, with bit-identical figure output either way.
+//! * [`fold`] — the per-day driver behind every figure: one walk over a
+//!   source's days feeds any set of [`fold::DayFold`]s, so the whole
+//!   figure suite reads each day once (DESIGN.md §14).
 //! * [`report`] — text renderers that print each figure/table in the
 //!   paper's layout, plus machine-readable CSV twins.
 //! * [`adversary`] — the unified adversary catalog: a common trait +
@@ -64,6 +67,7 @@ pub mod churn;
 pub mod closedloop;
 pub mod engine;
 pub mod fleet;
+pub mod fold;
 pub mod geo;
 pub mod ipchurn;
 pub mod keyspace;

@@ -3,10 +3,14 @@
 //! Each figure has a `*_from` variant that runs off any
 //! [`SnapshotSource`] — a live engine or a loaded `i2p-store` snapshot —
 //! with bit-identical results; the `(world, fleet, …)` entrypoints are
-//! thin wrappers that fill an engine and delegate.
+//! thin wrappers that fill an engine and delegate. Figs. 4–6 are
+//! per-day folds ([`crate::fold`]): a `*_from` runs its fold alone, and
+//! the CLI's figure suite runs them all in one walk.
 
 use crate::engine::HarvestEngine;
 use crate::fleet::{Fleet, Vantage, VantageMode};
+use crate::fold::{self, DayFold, DayView};
+use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashSet, PeerIp};
 use i2p_sim::world::World;
@@ -109,16 +113,39 @@ pub fn cumulative_by_router_count_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> Vec<(usize, usize)> {
-    let day_count = days.clone().count().max(1);
-    // One cumulative-OR pass per day yields the whole 1..=n curve at
-    // once; the naive path re-harvested every (day, prefix) pair.
-    let mut totals = vec![0usize; src.vantage_count()];
-    for d in days {
-        for (t, c) in totals.iter_mut().zip(src.coverage_curve(d)) {
+    let mut curve = RouterCountFold::new(src.vantage_count());
+    fold::run(src, days, &mut curve);
+    curve.finish()
+}
+
+/// Fig. 4 as a per-day fold: one cumulative-OR pass per day yields the
+/// whole 1..=n curve at once, summed over the days folded.
+#[derive(Default)]
+pub struct RouterCountFold {
+    totals: Vec<usize>,
+    days: usize,
+}
+
+impl RouterCountFold {
+    /// An empty curve over `vantages` routers.
+    pub fn new(vantages: usize) -> Self {
+        RouterCountFold { totals: vec![0; vantages], days: 0 }
+    }
+
+    /// `(routers, mean peers observed)` for 1..=n routers.
+    pub fn finish(self) -> Vec<(usize, usize)> {
+        let day_count = self.days.max(1);
+        self.totals.into_iter().enumerate().map(|(i, t)| (i + 1, t / day_count)).collect()
+    }
+}
+
+impl DayFold for RouterCountFold {
+    fn day(&mut self, _day: u64, view: &DayView<'_>) {
+        self.days += 1;
+        for (t, c) in self.totals.iter_mut().zip(view.coverage_curve()) {
             *t += c;
         }
     }
-    totals.into_iter().enumerate().map(|(i, t)| (i + 1, t / day_count)).collect()
 }
 
 /// One day of the Fig. 5 census.
@@ -148,30 +175,41 @@ pub fn daily_census(world: &World, fleet: &Fleet, day: u64) -> DailyCensus {
 
 /// [`daily_census`] off any source (full-fleet union on `day`).
 pub fn daily_census_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> DailyCensus {
-    let mut v4: FxHashSet<PeerIp> = FxHashSet::default();
-    let mut v6: FxHashSet<PeerIp> = FxHashSet::default();
     let mut census = DailyCensus::default();
-    src.for_each_observation_ref(day, src.vantage_count(), &mut |rec| {
-        census.peers += 1;
-        if let Some(ip) = rec.ipv4 {
-            v4.insert(ip);
-        }
-        if let Some(ip) = rec.ipv6 {
-            v6.insert(ip);
-        }
-        if rec.is_unknown_ip() {
-            census.unknown_ip += 1;
-            if rec.is_firewalled() {
-                census.firewalled += 1;
-            } else {
-                census.hidden += 1;
+    fold::run(src, day..day + 1, &mut |_, view: &DayView<'_>| {
+        census = DailyCensus::of(view.observations());
+    });
+    census
+}
+
+impl DailyCensus {
+    /// The census of one day's full-fleet union observations.
+    pub fn of(observations: &[ObservedRouterInfo]) -> DailyCensus {
+        let mut v4: FxHashSet<PeerIp> = FxHashSet::default();
+        let mut v6: FxHashSet<PeerIp> = FxHashSet::default();
+        let mut census = DailyCensus::default();
+        for rec in observations {
+            census.peers += 1;
+            if let Some(ip) = rec.ipv4 {
+                v4.insert(ip);
+            }
+            if let Some(ip) = rec.ipv6 {
+                v6.insert(ip);
+            }
+            if rec.is_unknown_ip() {
+                census.unknown_ip += 1;
+                if rec.is_firewalled() {
+                    census.firewalled += 1;
+                } else {
+                    census.hidden += 1;
+                }
             }
         }
-    });
-    census.ipv4 = v4.len();
-    census.ipv6 = v6.len();
-    census.all_ips = v4.len() + v6.len();
-    census
+        census.ipv4 = v4.len();
+        census.ipv6 = v6.len();
+        census.all_ips = v4.len() + v6.len();
+        census
+    }
 }
 
 /// Fig. 6's overlap group: peers seen as firewalled on one day and
@@ -190,19 +228,36 @@ pub fn firewalled_hidden_overlap_from<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> usize {
-    let mut fw: FxHashSet<u32> = FxHashSet::default();
-    let mut hid: FxHashSet<u32> = FxHashSet::default();
-    let k = src.vantage_count();
-    for d in days {
-        src.for_each_observation_ref(d, k, &mut |rec| {
-            if rec.is_firewalled() {
-                fw.insert(rec.peer_id);
-            } else if rec.is_hidden() {
-                hid.insert(rec.peer_id);
-            }
-        });
+    let mut overlap = OverlapFold::default();
+    fold::run(src, days, &mut overlap);
+    overlap.finish()
+}
+
+/// Fig. 6's overlap group as a per-day fold: the peers seen firewalled
+/// and the peers seen hidden so far.
+#[derive(Default)]
+pub struct OverlapFold {
+    firewalled: FxHashSet<u32>,
+    hidden: FxHashSet<u32>,
+}
+
+impl OverlapFold {
+    /// Peers seen in both groups.
+    pub fn finish(self) -> usize {
+        self.firewalled.intersection(&self.hidden).count()
     }
-    fw.intersection(&hid).count()
+}
+
+impl DayFold for OverlapFold {
+    fn day(&mut self, _day: u64, view: &DayView<'_>) {
+        for rec in view.observations() {
+            if rec.is_firewalled() {
+                self.firewalled.insert(rec.peer_id);
+            } else if rec.is_hidden() {
+                self.hidden.insert(rec.peer_id);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! end to end (text and CSV figure renders, live vs replayed).
 
 use crate::engine::HarvestEngine;
+use crate::fold::{self, DayFold, DayView};
 use crate::observed::ObservedRouterInfo;
 use i2p_geoip::GeoDb;
 use std::ops::Range;
@@ -106,27 +107,47 @@ pub trait SnapshotSource {
         f: &mut dyn FnMut(&ObservedRouterInfo),
     );
 
+    /// Visits each day of `days` in ascending order, handing `f` a
+    /// source that answers that day's queries. Every whole-window reader
+    /// (the figure driver in [`crate::fold`], [`coverage`](Self::coverage))
+    /// goes through this visit, so a file-backed source loads each day
+    /// once per walk and holds only that day.
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource));
+
     /// The dataset's (vantage, day) coverage ledger; see [`Coverage`].
     fn coverage(&self) -> Coverage {
-        let days = self.days();
-        let n_v = self.vantage_count();
-        let mut cov = Coverage {
-            days_expected: days.clone().count(),
-            cells_expected: days.clone().count() * n_v,
-            ..Coverage::default()
-        };
-        for day in days {
-            let observed = (0..n_v).filter(|&v| self.count_one(v, day) > 0).count();
-            cov.cells_observed += observed;
-            if observed == n_v {
-                cov.days_full += 1;
-            } else if observed > 0 {
-                cov.days_partial += 1;
-            } else {
-                cov.days_dark += 1;
-            }
+        let mut cov = CoverageFold::default();
+        fold::run(self, self.days(), &mut cov);
+        cov.finish()
+    }
+}
+
+/// The [`Coverage`] ledger as a per-day fold.
+#[derive(Default)]
+pub struct CoverageFold(Coverage);
+
+impl CoverageFold {
+    /// The ledger over the days folded so far.
+    pub fn finish(self) -> Coverage {
+        self.0
+    }
+}
+
+impl DayFold for CoverageFold {
+    fn day(&mut self, _day: u64, view: &DayView<'_>) {
+        let n_v = view.vantage_count();
+        let observed = (0..n_v).filter(|&v| view.count_one(v) > 0).count();
+        let cov = &mut self.0;
+        cov.days_expected += 1;
+        cov.cells_expected += n_v;
+        cov.cells_observed += observed;
+        if observed == n_v {
+            cov.days_full += 1;
+        } else if observed > 0 {
+            cov.days_partial += 1;
+        } else {
+            cov.days_dark += 1;
         }
-        cov
     }
 }
 
@@ -166,5 +187,11 @@ impl SnapshotSource for HarvestEngine<'_> {
         f: &mut dyn FnMut(&ObservedRouterInfo),
     ) {
         self.for_each_observation(day, k, |rec| f(&rec));
+    }
+
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+        for day in days {
+            f(day, self);
+        }
     }
 }

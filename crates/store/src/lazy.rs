@@ -13,33 +13,30 @@
 //! structure and day sequence as it goes), and verifies the whole-file
 //! trailer checksum through the streaming [`format::Hasher`] in
 //! O(chunk) memory. Day segments are then seeked, checksummed and
-//! decoded on demand behind [`SnapshotSource`], with a tiny
-//! deterministic most-recently-used cache — so peak memory is
-//! O(largest day), not O(archive), and replayed figures remain
-//! byte-identical to the eager loader's (pinned by
-//! `tests/scale_parity.rs`). Every cache miss is ledgered by the
-//! `segments_lazy_loaded` counter.
+//! decoded on demand behind [`SnapshotSource`] and dropped as soon as
+//! the query that loaded them returns — so peak memory is O(largest
+//! day), not O(archive), and replayed figures remain byte-identical to
+//! the eager loader's (pinned by `tests/scale_parity.rs`).
+//!
+//! There is no segment cache. Whole-window readers walk the archive
+//! through [`SnapshotSource::visit_days`], which loads each day exactly
+//! once and drops it before loading the next; a full figure render is
+//! one such walk (`i2p_measure::fold`). Every load is ledgered by the
+//! `segments_lazy_loaded` counter and by the reader's own
+//! [`LazySnapshot::segment_loads`].
 
 use crate::format::{checksum, Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
-use crate::snapshot::{for_each_union_row, verify_segment_router_infos, DaySegment};
+use crate::snapshot::{verify_segment_router_infos, DaySegment, SegmentDay};
 use crate::{SnapshotMeta, StoreError};
 use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
 use i2p_measure::observed::ObservedRouterInfo;
 use i2p_measure::source::SnapshotSource;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
-use std::rc::Rc;
-
-/// Decoded segments kept hot. Two is deliberate: figure pipelines walk
-/// days in order but interleave same-day queries (curve, unions,
-/// observations) with churn-style day-pair comparisons, and a
-/// fixed-size MRU keeps the replay's load sequence — and therefore the
-/// lazy-load counter — a pure function of the query sequence.
-const CACHE_SEGMENTS: usize = 2;
 
 /// Chunk size of the streaming trailer verification at open.
 const VERIFY_CHUNK: usize = 1 << 16;
@@ -61,8 +58,8 @@ pub struct LazySnapshot {
     geo: GeoDb,
     file: RefCell<File>,
     segments: Vec<SegmentLoc>,
-    /// MRU-front decoded-segment cache: `(day index, segment)`.
-    cache: RefCell<Vec<(usize, Rc<DaySegment>)>>,
+    /// Day segments this reader has loaded.
+    loads: Cell<u64>,
 }
 
 impl LazySnapshot {
@@ -161,7 +158,7 @@ impl LazySnapshot {
             geo: GeoDb::new(),
             file: RefCell::new(file),
             segments,
-            cache: RefCell::new(Vec::with_capacity(CACHE_SEGMENTS)),
+            loads: Cell::new(0),
         })
     }
 
@@ -170,18 +167,15 @@ impl LazySnapshot {
         &self.meta
     }
 
-    /// Seeks, checksums and decodes one day segment, or returns it from
-    /// the MRU cache. Each miss is a `segments_lazy_loaded` event.
-    fn load_segment(&self, di: usize) -> Result<Rc<DaySegment>, StoreError> {
-        {
-            let mut cache = self.cache.borrow_mut();
-            if let Some(hit) = cache.iter().position(|(d, _)| *d == di) {
-                let entry = cache.remove(hit);
-                let seg = Rc::clone(&entry.1);
-                cache.insert(0, entry);
-                return Ok(seg);
-            }
-        }
+    /// Day segments this reader has loaded so far — the per-instance
+    /// twin of the process-wide `segments_lazy_loaded` counter.
+    pub fn segment_loads(&self) -> u64 {
+        self.loads.get()
+    }
+
+    /// Seeks, checksums and decodes one day segment. Each call is a
+    /// `segments_lazy_loaded` event.
+    fn load_segment(&self, di: usize) -> Result<DaySegment, StoreError> {
         let loc = &self.segments[di];
         let mut buf = vec![0u8; loc.body_len + CHECKSUM_LEN];
         {
@@ -193,30 +187,31 @@ impl LazySnapshot {
         if checksum(body) != sum {
             return Err(StoreError::Corrupt { what: "segment checksum" });
         }
-        let seg = Rc::new(crate::wire::decode_segment(body, self.meta.vantages.len())?);
+        let seg = crate::wire::decode_segment(body, self.meta.vantages.len())?;
+        self.loads.set(self.loads.get() + 1);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsLazyLoaded);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsDecoded);
-        let mut cache = self.cache.borrow_mut();
-        cache.insert(0, (di, Rc::clone(&seg)));
-        cache.truncate(CACHE_SEGMENTS);
         Ok(seg)
     }
 
-    /// [`load_segment`](Self::load_segment) for replay queries, which
-    /// have no error channel: the archive was fully checksummed at
-    /// open, so a failure here means the file was truncated or rewritten
-    /// underneath the replay — abort loudly rather than return figures
-    /// off a file that is no longer the one that was opened.
-    fn segment(&self, di: usize) -> Rc<DaySegment> {
-        self.load_segment(di).unwrap_or_else(|e| {
+    /// Loads the segment of `day` and answers `f` off it, for replay
+    /// queries, which have no error channel: the archive was fully
+    /// checksummed at open, so a failure here means the file was
+    /// truncated or rewritten underneath the replay — abort loudly
+    /// rather than return figures off a file that is no longer the one
+    /// that was opened.
+    fn with_day<T>(&self, day: u64, f: impl FnOnce(&SegmentDay<'_>) -> T) -> T {
+        let di = self.di(day);
+        let seg = self.load_segment(di).unwrap_or_else(|e| {
             panic!("lazy snapshot: day segment {di} unreadable after a verified open: {e}") // i2plint: allow(panic-audit) -- the file verified at open; losing it mid-replay is unrecoverable external interference
-        })
+        });
+        f(&SegmentDay { seg: &seg, geo: &self.geo })
     }
 
     /// Streaming [`crate::Snapshot::verify_router_infos`]: decodes and
     /// signature-verifies every archived RouterInfo one day segment at
     /// a time, so verification of a huge archive never holds more than
-    /// the cache's worth of segments.
+    /// one segment.
     pub fn verify_router_infos(&self) -> Result<usize, StoreError> {
         let _span = i2p_telemetry::span("store.verify");
         let mut verified = 0usize;
@@ -252,42 +247,19 @@ impl SnapshotSource for LazySnapshot {
     }
 
     fn count_one(&self, vantage: usize, day: u64) -> usize {
-        let seg = self.segment(self.di(day));
-        seg.lanes[vantage].iter().map(|w| w.count_ones() as usize).sum()
+        self.with_day(day, |seg| seg.count_one(vantage, day))
     }
 
     fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        let seg = self.segment(self.di(day));
-        let k = k.min(seg.lanes.len());
-        let mut count = 0usize;
-        for j in 0..seg.words {
-            let mut acc = 0u64;
-            for lane in &seg.lanes[..k] {
-                acc |= lane[j];
-            }
-            count += acc.count_ones() as usize;
-        }
-        count
+        self.with_day(day, |seg| seg.count_union_prefix(day, k))
     }
 
     fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        let seg = self.segment(self.di(day));
-        let mut acc = vec![0u64; seg.words];
-        let mut curve = Vec::with_capacity(seg.lanes.len());
-        for lane in &seg.lanes {
-            let mut count = 0usize;
-            for (a, w) in acc.iter_mut().zip(lane) {
-                *a |= w;
-                count += a.count_ones() as usize;
-            }
-            curve.push(count);
-        }
-        curve
+        self.with_day(day, |seg| seg.coverage_curve(day))
     }
 
     fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        let seg = self.segment(self.di(day));
-        for_each_union_row(&seg, k, &mut |row| f(seg.observations[row].peer_id));
+        self.with_day(day, |seg| seg.for_each_union_id(day, k, f))
     }
 
     fn for_each_observation_ref(
@@ -296,8 +268,15 @@ impl SnapshotSource for LazySnapshot {
         k: usize,
         f: &mut dyn FnMut(&ObservedRouterInfo),
     ) {
-        let seg = self.segment(self.di(day));
-        for_each_union_row(&seg, k, &mut |row| f(&seg.observations[row]));
+        self.with_day(day, |seg| seg.for_each_observation_ref(day, k, f))
+    }
+
+    /// Loads each day's segment once, hands it out, and drops it before
+    /// loading the next: a walk holds one day at a time.
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+        for day in days {
+            self.with_day(day, |seg| f(day, seg));
+        }
     }
 }
 
@@ -325,19 +304,22 @@ mod tests {
         }
     }
 
-    fn archived() -> (Snapshot, Scratch) {
+    /// A 4-day archive at a path of the caller's own: tests run in
+    /// parallel, and one test's cleanup must never delete the archive
+    /// another is reading.
+    fn archived(tag: &str) -> (Snapshot, Scratch) {
         let world = World::generate(WorldConfig { days: 4, scale: 0.01, seed: 99 });
         let fleet = Fleet::alternating(4);
         let engine = HarvestEngine::build(&world, &fleet, 0..4);
         let snap = Snapshot::capture(&engine);
-        let scratch = Scratch::new("roundtrip");
+        let scratch = Scratch::new(tag);
         snap.write_to(&scratch.0).expect("write archive");
         (snap, scratch)
     }
 
     #[test]
     fn lazy_replay_matches_the_eager_loader_query_for_query() {
-        let (eager, scratch) = archived();
+        let (eager, scratch) = archived("query-parity");
         let lazy = LazySnapshot::open(&scratch.0).expect("lazy open");
         assert_eq!(lazy.meta(), eager.meta());
         assert_eq!(SnapshotSource::days(&lazy), SnapshotSource::days(&eager));
@@ -372,34 +354,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_misses_are_ledgered_and_bounded_by_the_mru() {
-        let (_eager, scratch) = archived();
+    fn a_day_walk_loads_each_segment_once() {
+        let (eager, scratch) = archived("day-walk");
         let lazy = LazySnapshot::open(&scratch.0).expect("lazy open");
-        let miss = i2p_telemetry::Counter::SegmentsLazyLoaded;
-        let before = i2p_telemetry::counters::snapshot();
-        // First touch of each day misses; re-touching the two hottest
-        // days hits the MRU and loads nothing.
-        for day in 0..4 {
-            lazy.coverage_curve(day);
-        }
-        let after_walk = i2p_telemetry::counters::snapshot();
-        assert_eq!(after_walk.delta_since(&before).get(miss), 4, "one miss per day");
-        lazy.coverage_curve(3);
+        assert_eq!(lazy.segment_loads(), 0, "open decodes no segment");
+        // A walk loads each visited day once, however many queries the
+        // visitor makes of it.
+        let mut curves = Vec::new();
+        lazy.visit_days(1..4, &mut |day, src| {
+            curves.push(src.coverage_curve(day));
+            assert_eq!(src.count_union_prefix(day, 4), curves[curves.len() - 1][3]);
+        });
+        assert_eq!(lazy.segment_loads(), 3);
+        assert_eq!(curves, (1..4).map(|d| eager.coverage_curve(d)).collect::<Vec<_>>());
+        // The coverage ledger is one walk of the whole archive.
+        assert_eq!(lazy.coverage(), eager.coverage());
+        assert_eq!(lazy.segment_loads(), 3 + 4);
+        // A lone query loads its day and keeps nothing.
         lazy.coverage_curve(2);
-        lazy.coverage_curve(3);
-        let after_rehit = i2p_telemetry::counters::snapshot();
-        assert_eq!(after_rehit.delta_since(&after_walk).get(miss), 0, "MRU re-hits load nothing");
-        // A colder day evicts and must reload.
-        lazy.coverage_curve(0);
-        let after_cold = i2p_telemetry::counters::snapshot();
-        assert_eq!(after_cold.delta_since(&after_rehit).get(miss), 1, "evicted day reloads");
+        lazy.coverage_curve(2);
+        assert_eq!(lazy.segment_loads(), 3 + 4 + 2);
     }
 
     #[test]
     fn lazy_open_rejects_corruption_everywhere() {
-        let (_eager, scratch) = archived();
+        let (_eager, scratch) = archived("corruption-source");
         let bytes = std::fs::read(&scratch.0).expect("read archive");
-        let bad_path = Scratch::new("corrupt");
+        let bad_path = Scratch::new("corruption-planted");
         // Structural and checksum damage at a stride through the file,
         // plus truncations: open must refuse them all (the walk catches
         // structure, the streaming trailer check catches everything

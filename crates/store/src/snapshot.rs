@@ -287,6 +287,11 @@ impl Snapshot {
         );
         (day - span.start) as usize
     }
+
+    /// The segment of `day` as a one-day source.
+    fn at(&self, day: u64) -> SegmentDay<'_> {
+        SegmentDay { seg: &self.days[self.di(day)], geo: &self.geo }
+    }
 }
 
 impl SnapshotSource for Snapshot {
@@ -303,14 +308,72 @@ impl SnapshotSource for Snapshot {
     }
 
     fn count_one(&self, vantage: usize, day: u64) -> usize {
-        self.days[self.di(day)].lanes[vantage]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.at(day).count_one(vantage, day)
     }
 
     fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        let seg = &self.days[self.di(day)];
+        self.at(day).count_union_prefix(day, k)
+    }
+
+    fn coverage_curve(&self, day: u64) -> Vec<usize> {
+        self.at(day).coverage_curve(day)
+    }
+
+    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
+        self.at(day).for_each_union_id(day, k, f)
+    }
+
+    fn for_each_observation_ref(
+        &self,
+        day: u64,
+        k: usize,
+        f: &mut dyn FnMut(&ObservedRouterInfo),
+    ) {
+        self.at(day).for_each_observation_ref(day, k, f)
+    }
+
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+        for day in days {
+            f(day, &self.at(day));
+        }
+    }
+}
+
+/// One decoded day segment as a [`SnapshotSource`] spanning just that
+/// day: the query implementation both the eager [`Snapshot`] and the
+/// lazy reader serve from, and what their per-day visits hand out.
+pub(crate) struct SegmentDay<'a> {
+    pub seg: &'a DaySegment,
+    pub geo: &'a GeoDb,
+}
+
+impl SegmentDay<'_> {
+    fn check(&self, day: u64) {
+        assert_eq!(day, self.seg.day, "a day view answers only for its own day");
+    }
+}
+
+impl SnapshotSource for SegmentDay<'_> {
+    fn days(&self) -> Range<u64> {
+        self.seg.day..self.seg.day + 1
+    }
+
+    fn vantage_count(&self) -> usize {
+        self.seg.lanes.len()
+    }
+
+    fn geo(&self) -> &GeoDb {
+        self.geo
+    }
+
+    fn count_one(&self, vantage: usize, day: u64) -> usize {
+        self.check(day);
+        self.seg.lanes[vantage].iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn count_union_prefix(&self, day: u64, k: usize) -> usize {
+        self.check(day);
+        let seg = self.seg;
         let k = k.min(seg.lanes.len());
         let mut count = 0usize;
         for j in 0..seg.words {
@@ -324,7 +387,8 @@ impl SnapshotSource for Snapshot {
     }
 
     fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        let seg = &self.days[self.di(day)];
+        self.check(day);
+        let seg = self.seg;
         let mut acc = vec![0u64; seg.words];
         let mut curve = Vec::with_capacity(seg.lanes.len());
         for lane in &seg.lanes {
@@ -339,7 +403,8 @@ impl SnapshotSource for Snapshot {
     }
 
     fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        let seg = &self.days[self.di(day)];
+        self.check(day);
+        let seg = self.seg;
         for_each_union_row(seg, k, &mut |row| f(seg.observations[row].peer_id));
     }
 
@@ -349,8 +414,16 @@ impl SnapshotSource for Snapshot {
         k: usize,
         f: &mut dyn FnMut(&ObservedRouterInfo),
     ) {
-        let seg = &self.days[self.di(day)];
+        self.check(day);
+        let seg = self.seg;
         for_each_union_row(seg, k, &mut |row| f(&seg.observations[row]));
+    }
+
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+        for day in days {
+            self.check(day);
+            f(day, self);
+        }
     }
 }
 

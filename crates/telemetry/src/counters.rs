@@ -73,9 +73,8 @@ counters! {
     SegmentsEncoded => "segments_encoded",
     /// Day segments decoded back out of the `.i2ps` wire format.
     SegmentsDecoded => "segments_decoded",
-    /// Day segments decoded on demand by the lazy snapshot reader
-    /// (cache misses; a replay that never re-visits a day decodes each
-    /// segment exactly once).
+    /// Day segments decoded on demand by the lazy snapshot reader (one
+    /// per day per whole-window walk; a full figure render is one walk).
     SegmentsLazyLoaded => "segments_lazy_loaded",
     /// Bytes of snapshot wire format produced by the encoder.
     StoreBytesWritten => "store_bytes_written",

@@ -17,9 +17,14 @@ use i2p_measure::adversary::{self, AdversaryLab};
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::Fleet;
 use i2p_measure::keyspace::{KeyspaceConfig, VisibilityModel};
-use i2p_measure::source::SnapshotSource;
+use i2p_measure::capacity::{BandwidthTable, FloodfillEstimate};
+use i2p_measure::fold::{self, DayFold, DayView};
+use i2p_measure::geo::{AsReport, GeoReport};
+use i2p_measure::ipchurn::IpChurnReport;
+use i2p_measure::population::DailyCensus;
+use i2p_measure::source::{CoverageFold, SnapshotSource};
 use i2p_measure::usability::{evaluate, UsabilityConfig};
-use i2p_measure::{capacity, churn, geo, ipchurn, population, report, sybil};
+use i2p_measure::{capacity, churn, ipchurn, population, report, sybil};
 use i2p_sim::world::{World, WorldConfig};
 use i2p_store::{LazySnapshot, Snapshot, StoreError};
 use std::fmt::Write as _;
@@ -253,13 +258,50 @@ fn titled_csv(title: &str, csv: String) -> String {
 /// loaded snapshot — deterministically: identical sources give
 /// byte-identical output (the CI smoke and `tests/store_replay.rs`
 /// hold live vs replayed renders to `==`).
+///
+/// Every requested figure is a per-day fold, and one walk over the
+/// source's days feeds them all ([`i2p_measure::fold`]): a lazily read
+/// archive loads each day segment once, and each day's observations
+/// are materialized once for every figure that reads them.
 pub fn render_figures(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) -> String {
+    let span = src.days();
+    let n_days = span.clone().count() as u64;
+    // Fig. 5/6 sample every `step` days (≤ ~10 rows); Table 1 and the
+    // floodfill estimate use the window's middle day. All derived from
+    // the source's own range, so live and replay agree by construction.
+    let step = (n_days / 10).max(1);
+    let mid_day = span.start + n_days / 2;
+    let horizon = (n_days.saturating_sub(1)).min(30) as usize;
+    let churn_days: Vec<usize> =
+        [1, 2, 3, 5, 7, 10, 14, 21, 30].into_iter().filter(|&d| d <= horizon).collect();
+
+    let wants = |any: &[FigId]| figs.iter().any(|f| any.contains(f));
+    let mut suite = FigureSuite {
+        start: span.start,
+        step,
+        mid_day,
+        coverage: CoverageFold::default(),
+        fig4: wants(&[FigId::Fig4]).then(|| population::RouterCountFold::new(src.vantage_count())),
+        census: wants(&[FigId::Fig5, FigId::Fig6]).then(Vec::new),
+        overlap: wants(&[FigId::Fig6]).then(population::OverlapFold::default),
+        churn: wants(&[FigId::Fig7]).then(churn::ChurnFold::default),
+        ip_stats: wants(&[FigId::Fig8, FigId::Fig10, FigId::Fig11, FigId::Fig12])
+            .then(ipchurn::IpStatsFold::default),
+        capacity: wants(&[FigId::Fig9]).then(capacity::CapacityFold::default),
+        wants_table1: wants(&[FigId::Table1]),
+        table1: None,
+    };
+    {
+        let _span = i2p_telemetry::span("measure.figure_pass");
+        fold::run(src, span.clone(), &mut suite);
+    }
+
     let mut out = String::new();
     // Degraded-mode annotation: a partial harvest (vantage outages,
     // recovered snapshot prefix, …) says so up front, in both formats.
     // Full datasets render byte-identically to a build without this
     // check — the annotation only exists when a cell is dark.
-    let cov = src.coverage();
+    let cov = suite.coverage.finish();
     if cov.is_degraded() {
         match format {
             Format::Text => {
@@ -270,76 +312,44 @@ pub fn render_figures(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) 
             }
         }
     }
-    out.push_str(&render_figure_blocks(src, format, figs));
-    out
-}
-
-fn render_figure_blocks(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) -> String {
-    let span = src.days();
-    let n_days = span.clone().count() as u64;
-    // Fig. 5/6 sample every `step` days (≤ ~10 rows); Table 1 and the
-    // floodfill estimate use the window's middle day. All derived from
-    // the source's own range, so live and replay agree by construction.
-    let step = (n_days / 10).max(1) as usize;
-    let mid_day = span.start + n_days / 2;
-    let horizon = (n_days.saturating_sub(1)).min(30) as usize;
-    let churn_days: Vec<usize> =
-        [1, 2, 3, 5, 7, 10, 14, 21, 30].into_iter().filter(|&d| d <= horizon).collect();
-
-    let mut out = String::new();
-    // Fig. 5/6 share the sampled census series and Fig. 8/12 share the
-    // full-window IP-churn pass — the two heaviest analyses in the
-    // suite — so compute each once and reuse across both figures.
-    let mut census_series = None;
+    // Unrequested folds finish empty; nothing below reads them.
+    let fig4 = suite.fig4.unwrap_or_default().finish();
+    let census = suite.census.unwrap_or_default();
+    let overlap = suite.overlap.unwrap_or_default().finish();
+    let churn = suite.churn.unwrap_or_default().finish(horizon);
+    let ip_stats = suite.ip_stats.unwrap_or_default().finish();
+    let capacity = suite.capacity.unwrap_or_default().finish();
+    let (table, est) =
+        suite.table1.unwrap_or_else(|| (BandwidthTable::default(), FloodfillEstimate::of(&[])));
+    // Fig. 8 and Fig. 12 share one report off the shared IP map.
     let mut ip_report = None;
     for fig in figs {
         // Telemetry is observation only: the span times the render and
         // the counter tallies it; neither can touch `block`, which is
         // what keeps `--telemetry` renders byte-identical to plain ones
-        // (pinned by tests/telemetry.rs).
+        // (pinned by tests/telemetry.rs). The day walk above is timed
+        // as `measure.figure_pass`.
         let _span = i2p_telemetry::span(fig.span_name());
         i2p_telemetry::count_one(i2p_telemetry::Counter::FigureRenders);
         let block = match fig {
-            FigId::Fig4 => {
-                let curve = population::cumulative_by_router_count_from(src, span.clone());
-                match format {
-                    Format::Text => report::render_fig4(&curve),
-                    Format::Csv => titled_csv("Figure 4", report::csv_fig4(&curve)),
-                }
-            }
-            FigId::Fig5 | FigId::Fig6 => {
-                let series: &Vec<_> = census_series.get_or_insert_with(|| {
-                    span.clone()
-                        .step_by(step)
-                        .map(|d| (d, population::daily_census_from(src, d)))
-                        .collect()
-                });
-                if *fig == FigId::Fig5 {
-                    match format {
-                        Format::Text => report::render_fig5(series),
-                        Format::Csv => titled_csv("Figure 5", report::csv_fig5(series)),
-                    }
-                } else {
-                    let overlap =
-                        population::firewalled_hidden_overlap_from(src, span.clone());
-                    match format {
-                        Format::Text => report::render_fig6(series, overlap),
-                        Format::Csv => {
-                            titled_csv("Figure 6", report::csv_fig6(series, overlap))
-                        }
-                    }
-                }
-            }
-            FigId::Fig7 => {
-                let curves = churn::churn_curves_from(src, horizon);
-                match format {
-                    Format::Text => report::render_fig7(&curves, &churn_days),
-                    Format::Csv => titled_csv("Figure 7", report::csv_fig7(&curves, &churn_days)),
-                }
-            }
+            FigId::Fig4 => match format {
+                Format::Text => report::render_fig4(&fig4),
+                Format::Csv => titled_csv("Figure 4", report::csv_fig4(&fig4)),
+            },
+            FigId::Fig5 => match format {
+                Format::Text => report::render_fig5(&census),
+                Format::Csv => titled_csv("Figure 5", report::csv_fig5(&census)),
+            },
+            FigId::Fig6 => match format {
+                Format::Text => report::render_fig6(&census, overlap),
+                Format::Csv => titled_csv("Figure 6", report::csv_fig6(&census, overlap)),
+            },
+            FigId::Fig7 => match format {
+                Format::Text => report::render_fig7(&churn, &churn_days),
+                Format::Csv => titled_csv("Figure 7", report::csv_fig7(&churn, &churn_days)),
+            },
             FigId::Fig8 | FigId::Fig12 => {
-                let rep = ip_report
-                    .get_or_insert_with(|| ipchurn::ip_churn_report_from(src, span.clone()));
+                let rep = ip_report.get_or_insert_with(|| IpChurnReport::of(&ip_stats));
                 if *fig == FigId::Fig8 {
                     match format {
                         Format::Text => report::render_fig8(rep),
@@ -352,35 +362,28 @@ fn render_figure_blocks(src: &dyn SnapshotSource, format: Format, figs: &[FigId]
                     }
                 }
             }
-            FigId::Fig9 => {
-                let hist = capacity::capacity_histogram_from(src, span.clone());
-                match format {
-                    Format::Text => report::render_fig9(&hist),
-                    Format::Csv => titled_csv("Figure 9", report::csv_fig9(&hist)),
-                }
-            }
+            FigId::Fig9 => match format {
+                Format::Text => report::render_fig9(&capacity),
+                Format::Csv => titled_csv("Figure 9", report::csv_fig9(&capacity)),
+            },
             FigId::Fig10 => {
-                let rep = geo::country_distribution_from(src, span.clone());
+                let rep = GeoReport::of(&ip_stats, src.geo());
                 match format {
                     Format::Text => report::render_fig10(&rep, 20),
                     Format::Csv => titled_csv("Figure 10", report::csv_fig10(&rep, 20)),
                 }
             }
             FigId::Fig11 => {
-                let rep = geo::as_distribution_from(src, span.clone());
+                let rep = AsReport::of(&ip_stats);
                 match format {
                     Format::Text => report::render_fig11(&rep, 20),
                     Format::Csv => titled_csv("Figure 11", report::csv_fig11(&rep, 20)),
                 }
             }
-            FigId::Table1 => {
-                let table = capacity::bandwidth_table_from(src, mid_day);
-                let est = capacity::floodfill_estimate_from(src, mid_day);
-                match format {
-                    Format::Text => report::render_table1(&table, &est),
-                    Format::Csv => titled_csv("Table 1", report::csv_table1(&table, &est)),
-                }
-            }
+            FigId::Table1 => match format {
+                Format::Text => report::render_table1(&table, &est),
+                Format::Csv => titled_csv("Table 1", report::csv_table1(&table, &est)),
+            },
         };
         out.push_str(&block);
         out.push('\n');
@@ -388,17 +391,71 @@ fn render_figure_blocks(src: &dyn SnapshotSource, format: Format, figs: &[FigId]
     out
 }
 
+/// The folds behind [`render_figures`], one per requested analysis
+/// (`None`: not requested), fed by a single walk over the source's days.
+struct FigureSuite {
+    /// First day of the walk; the Fig. 5/6 census samples every `step`
+    /// days from it.
+    start: u64,
+    step: u64,
+    /// Table 1's day: the window's middle day.
+    mid_day: u64,
+    coverage: CoverageFold,
+    fig4: Option<population::RouterCountFold>,
+    census: Option<Vec<(u64, DailyCensus)>>,
+    overlap: Option<population::OverlapFold>,
+    churn: Option<churn::ChurnFold>,
+    ip_stats: Option<ipchurn::IpStatsFold>,
+    capacity: Option<capacity::CapacityFold>,
+    wants_table1: bool,
+    table1: Option<(BandwidthTable, FloodfillEstimate)>,
+}
+
+impl DayFold for FigureSuite {
+    fn day(&mut self, day: u64, view: &DayView<'_>) {
+        self.coverage.day(day, view);
+        if let Some(f) = &mut self.fig4 {
+            f.day(day, view);
+        }
+        if let Some(rows) = &mut self.census {
+            if (day - self.start) % self.step == 0 {
+                rows.push((day, DailyCensus::of(view.observations())));
+            }
+        }
+        if let Some(f) = &mut self.overlap {
+            f.day(day, view);
+        }
+        if let Some(f) = &mut self.ip_stats {
+            f.day(day, view);
+        }
+        if let Some(f) = &mut self.capacity {
+            f.day(day, view);
+        }
+        if self.wants_table1 && day == self.mid_day {
+            let obs = view.observations();
+            self.table1 = Some((BandwidthTable::of(obs), FloodfillEstimate::of(obs)));
+        }
+        // Last: churn reads only membership, off the observations when
+        // a fold above has materialized them.
+        if let Some(f) = &mut self.churn {
+            f.day(day, view);
+        }
+    }
+}
+
 /// The deterministic audit line every dataset-producing command prints:
 /// the full parameter tuple plus data-derived coverage and row totals.
 /// Same seed + spec ⇒ byte-identical line, across runs and thread
 /// counts (nothing here may echo a thread count or wall clock).
 pub fn audit_line(knobs: &Knobs, src: &dyn SnapshotSource) -> String {
-    let cov = src.coverage();
-    let k = src.vantage_count();
-    let rows: u64 = src
-        .days()
-        .map(|d| src.count_union_prefix(d, k) as u64)
-        .sum();
+    // One walk: the coverage ledger and the row total fold together.
+    let mut cov = CoverageFold::default();
+    let mut rows = 0u64;
+    fold::run(src, src.days(), &mut |day, view: &DayView<'_>| {
+        cov.day(day, view);
+        rows += view.count_union() as u64;
+    });
+    let cov = cov.finish();
     format!(
         "audit: seed={} scale={} days={} fleet={} model={} faults={} \
          days_observed={}/{} cells={}/{} rows={rows}",
