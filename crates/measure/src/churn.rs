@@ -15,7 +15,7 @@ use i2p_data::FxHashMap;
 use i2p_sim::world::World;
 
 /// The survival curves.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChurnCurves {
     /// `continuous[n]` = % of peers seen continuously for > n days.
     pub continuous: Vec<f64>,

@@ -75,14 +75,9 @@ impl<'a> DayView<'a> {
     }
 
     /// Visits the id of every peer the whole fleet saw on the day,
-    /// ascending. Reads the materialized observations when another fold
-    /// already paid for them, and the source's membership sets
-    /// otherwise.
+    /// ascending, off the source's membership sets.
     pub fn for_each_union_id(&self, mut f: impl FnMut(u32)) {
-        match self.observations.get() {
-            Some(obs) => obs.iter().for_each(|rec| f(rec.peer_id)),
-            None => self.src.for_each_union_id(self.day, self.vantage_count(), &mut f),
-        }
+        self.src.for_each_union_id(self.day, self.vantage_count(), &mut f);
     }
 }
 
@@ -124,12 +119,10 @@ mod tests {
         run(&engine, 1..5, &mut |day: u64, view: &DayView<'_>| {
             assert_eq!(view.coverage_curve(), engine.coverage_curve(day));
             assert_eq!(view.count_union(), engine.count_union(day));
-            let (mut before, mut after) = (Vec::new(), Vec::new());
-            view.for_each_union_id(|id| before.push(id));
+            let mut ids = Vec::new();
+            view.for_each_union_id(|id| ids.push(id));
+            assert_eq!(ids, engine.union_prefix_ids(day, 4));
             assert_eq!(view.observations().len(), view.count_union());
-            view.for_each_union_id(|id| after.push(id));
-            assert_eq!(before, after, "both id paths agree");
-            assert_eq!(before, engine.union_prefix_ids(day, 4));
             seen.push(day);
         });
         assert_eq!(seen, vec![1, 2, 3, 4]);

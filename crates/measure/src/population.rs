@@ -120,7 +120,6 @@ pub fn cumulative_by_router_count_from<S: SnapshotSource + ?Sized>(
 
 /// Fig. 4 as a per-day fold: one cumulative-OR pass per day yields the
 /// whole 1..=n curve at once, summed over the days folded.
-#[derive(Default)]
 pub struct RouterCountFold {
     totals: Vec<usize>,
     days: usize,

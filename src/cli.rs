@@ -312,13 +312,14 @@ pub fn render_figures(src: &dyn SnapshotSource, format: Format, figs: &[FigId]) 
             }
         }
     }
-    // Unrequested folds finish empty; nothing below reads them.
-    let fig4 = suite.fig4.unwrap_or_default().finish();
+    // Only requested folds finish; the rest read as empty results that
+    // nothing below touches.
+    let fig4 = suite.fig4.map(population::RouterCountFold::finish).unwrap_or_default();
     let census = suite.census.unwrap_or_default();
-    let overlap = suite.overlap.unwrap_or_default().finish();
-    let churn = suite.churn.unwrap_or_default().finish(horizon);
-    let ip_stats = suite.ip_stats.unwrap_or_default().finish();
-    let capacity = suite.capacity.unwrap_or_default().finish();
+    let overlap = suite.overlap.map(population::OverlapFold::finish).unwrap_or_default();
+    let churn = suite.churn.map(|f| f.finish(horizon)).unwrap_or_default();
+    let ip_stats = suite.ip_stats.map(ipchurn::IpStatsFold::finish).unwrap_or_default();
+    let capacity = suite.capacity.map(capacity::CapacityFold::finish).unwrap_or_default();
     let (table, est) =
         suite.table1.unwrap_or_else(|| (BandwidthTable::default(), FloodfillEstimate::of(&[])));
     // Fig. 8 and Fig. 12 share one report off the shared IP map.
@@ -425,6 +426,9 @@ impl DayFold for FigureSuite {
         if let Some(f) = &mut self.overlap {
             f.day(day, view);
         }
+        if let Some(f) = &mut self.churn {
+            f.day(day, view);
+        }
         if let Some(f) = &mut self.ip_stats {
             f.day(day, view);
         }
@@ -434,11 +438,6 @@ impl DayFold for FigureSuite {
         if self.wants_table1 && day == self.mid_day {
             let obs = view.observations();
             self.table1 = Some((BandwidthTable::of(obs), FloodfillEstimate::of(obs)));
-        }
-        // Last: churn reads only membership, off the observations when
-        // a fold above has materialized them.
-        if let Some(f) = &mut self.churn {
-            f.day(day, view);
         }
     }
 }
