@@ -22,7 +22,7 @@
 use i2p_sim::world::{World, WorldConfig};
 // One definition of the knob semantics (malformed values **panic**
 // instead of silently falling back to a full-scale run): the CLI's.
-use i2pscope::cli::env_parse;
+use i2pscope::cli::{env_count, env_parse};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ pub fn seed() -> u64 {
 
 /// The configured study length.
 pub fn days() -> u64 {
-    env_u64("I2PSCOPE_DAYS", 89)
+    env_count("I2PSCOPE_DAYS", 89)
 }
 
 /// Scenario-sweep threads (`I2PSCOPE_THREADS`; 0 = one per core).

@@ -1,13 +1,10 @@
 //! Capacity-flag analyses: Fig. 9 and Table 1, plus the §5.3.1
 //! qualified-floodfill population estimate.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
 use crate::fold::{self, DayFold, DayView};
 use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
 use i2p_data::{BandwidthClass, Caps};
-use i2p_sim::world::World;
 
 /// Index of a class in K..X order.
 fn idx(c: BandwidthClass) -> usize {
@@ -26,13 +23,7 @@ pub struct CapacityHistogram {
 }
 
 /// Computes Fig. 9 averaged over the window.
-pub fn capacity_histogram(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> CapacityHistogram {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    capacity_histogram_from(&engine, days)
-}
-
-/// [`capacity_histogram`] off any source.
-pub fn capacity_histogram_from<S: SnapshotSource + ?Sized>(
+pub fn capacity_histogram<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> CapacityHistogram {
@@ -87,13 +78,7 @@ pub struct BandwidthTable {
 }
 
 /// Computes Table 1 for one day.
-pub fn bandwidth_table(world: &World, fleet: &Fleet, day: u64) -> BandwidthTable {
-    let engine = HarvestEngine::build(world, fleet, day..day + 1);
-    bandwidth_table_from(&engine, day)
-}
-
-/// [`bandwidth_table`] off any source.
-pub fn bandwidth_table_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> BandwidthTable {
+pub fn bandwidth_table<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> BandwidthTable {
     let mut table = BandwidthTable::default();
     fold::run(src, day..day + 1, &mut |_, view: &DayView<'_>| {
         table = BandwidthTable::of(view.observations());
@@ -162,13 +147,7 @@ pub struct FloodfillEstimate {
 /// Reproduces the §5.3.1 arithmetic: count observed floodfills, take the
 /// qualified (N/O/P/X) share, and divide by the 6 % automatic-floodfill
 /// fraction reported on the I2P site.
-pub fn floodfill_estimate(world: &World, fleet: &Fleet, day: u64) -> FloodfillEstimate {
-    let engine = HarvestEngine::build(world, fleet, day..day + 1);
-    floodfill_estimate_from(&engine, day)
-}
-
-/// [`floodfill_estimate`] off any source.
-pub fn floodfill_estimate_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> FloodfillEstimate {
+pub fn floodfill_estimate<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> FloodfillEstimate {
     let mut est = FloodfillEstimate::of(&[]);
     fold::run(src, day..day + 1, &mut |_, view: &DayView<'_>| {
         est = FloodfillEstimate::of(view.observations());
@@ -203,19 +182,22 @@ impl FloodfillEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
 
-    fn setup() -> (World, Fleet) {
-        (
-            World::generate(WorldConfig { days: 10, scale: 0.05, seed: 41 }),
-            Fleet::paper_main(),
-        )
+    fn world() -> World {
+        World::generate(WorldConfig { days: 10, scale: 0.05, seed: 41 })
+    }
+
+    fn engine(w: &World) -> HarvestEngine<'_> {
+        HarvestEngine::build(w, &Fleet::paper_main(), 0..10)
     }
 
     #[test]
     fn fig9_order_matches_paper() {
-        let (w, fleet) = setup();
-        let h = capacity_histogram(&w, &fleet, 2..6);
+        let w = world();
+        let h = capacity_histogram(&engine(&w), 2..6);
         let [k, l, m, n, o, p, x] = h.counts;
         assert!(l > n, "L dominates ({l} vs {n})");
         assert!(n > p && p > x, "N > P > X ({n}, {p}, {x})");
@@ -226,8 +208,8 @@ mod tests {
 
     #[test]
     fn table1_floodfill_group_n_dominant() {
-        let (w, fleet) = setup();
-        let t = bandwidth_table(&w, &fleet, 5);
+        let w = world();
+        let t = bandwidth_table(&engine(&w), 5);
         let n_i = idx(BandwidthClass::N);
         let l_i = idx(BandwidthClass::L);
         assert!(
@@ -245,8 +227,8 @@ mod tests {
     #[test]
     fn table1_totals_exceed_100_percent() {
         // The compat-O rule makes the column sums exceed 100 %.
-        let (w, fleet) = setup();
-        let t = bandwidth_table(&w, &fleet, 5);
+        let w = world();
+        let t = bandwidth_table(&engine(&w), 5);
         let sum: f64 = t.total.iter().sum();
         assert!(sum > 100.0, "total column sums to {sum}");
         assert!(sum < 130.0, "but not absurdly ({sum})");
@@ -254,8 +236,8 @@ mod tests {
 
     #[test]
     fn floodfill_estimate_recovers_population() {
-        let (w, fleet) = setup();
-        let est = floodfill_estimate(&w, &fleet, 5);
+        let w = world();
+        let est = floodfill_estimate(&engine(&w), 5);
         assert!(est.observed_floodfills > 20);
         assert!(
             (0.55..0.85).contains(&est.qualified_share),

@@ -7,12 +7,9 @@
 //! consecutive sighted days starting at `d0`; the *intermittent* span
 //! runs to the last day the peer is ever sighted.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
 use crate::fold::{self, DayFold, DayView};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
-use i2p_sim::world::World;
 
 /// The survival curves.
 #[derive(Clone, Debug, Default)]
@@ -37,17 +34,11 @@ impl ChurnCurves {
     }
 }
 
-/// Computes Fig. 7 over a measurement window.
+/// Computes Fig. 7 over the source's own day range.
 ///
 /// Only peers first seen early enough to have `horizon` days of
 /// follow-up are included, so late joiners do not truncate the curves.
-pub fn churn_curves(world: &World, fleet: &Fleet, days: u64, horizon: usize) -> ChurnCurves {
-    let engine = HarvestEngine::build(world, fleet, 0..days);
-    churn_curves_from(&engine, horizon)
-}
-
-/// [`churn_curves`] off any source, over the source's own day range.
-pub fn churn_curves_from<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
+pub fn churn_curves<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
     let mut churn = ChurnFold::default();
     fold::run(src, src.days(), &mut churn);
     churn.finish(horizon)
@@ -133,20 +124,21 @@ fn survival(cont_hist: Vec<usize>, int_hist: Vec<usize>, cohort: usize, horizon:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
 
     /// The sighted-days computation the fixed-size fold replaced: every
     /// peer's full list of sighted days, walked once at the end. Kept
     /// as the oracle the fold must match exactly.
     fn churn_curves_oracle<S: SnapshotSource + ?Sized>(src: &S, horizon: usize) -> ChurnCurves {
         let span = src.days();
-        let k = src.vantage_count();
         let mut sightings: FxHashMap<u32, Vec<u64>> = FxHashMap::default();
-        for d in span.clone() {
-            src.for_each_union_id(d, k, &mut |id| {
+        src.visit_days(span.clone(), &mut |d, day| {
+            day.for_each_union_id(&mut |id| {
                 sightings.entry(id).or_default().push(d);
             });
-        }
+        });
         let max_first = span.end.saturating_sub(horizon as u64);
         let mut cont_hist = vec![0usize; horizon + 1];
         let mut int_hist = vec![0usize; horizon + 1];
@@ -174,7 +166,6 @@ mod tests {
 
     #[test]
     fn fixed_size_fold_matches_the_sighted_days_oracle() {
-        use crate::engine::HarvestEngine;
         use crate::keyspace::VisibilityModel;
         use i2p_faults::{FaultPlane, FaultSpec};
         let w = World::generate(WorldConfig { days: 40, scale: 0.015, seed: 23 });
@@ -189,7 +180,7 @@ mod tests {
             let engine =
                 HarvestEngine::build_faulted(&w, &fleet, 0..40, &VisibilityModel::Uniform, &plane);
             for horizon in [0, 1, 7, 30, 39, 45] {
-                let fold = churn_curves_from(&engine, horizon);
+                let fold = churn_curves(&engine, horizon);
                 let oracle = churn_curves_oracle(&engine, horizon);
                 assert_eq!(fold.cohort, oracle.cohort, "horizon {horizon}");
                 assert_eq!(fold.continuous, oracle.continuous, "horizon {horizon}");
@@ -200,8 +191,8 @@ mod tests {
 
     fn curves() -> ChurnCurves {
         let w = World::generate(WorldConfig { days: 60, scale: 0.015, seed: 21 });
-        let fleet = Fleet::paper_main();
-        churn_curves(&w, &fleet, 60, 40)
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 0..60);
+        churn_curves(&engine, 40)
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! many folds read them.
 //!
 //! A fold run alone through the same driver is the single-figure path
-//! (every `*_from` function in this crate), so the fused suite and a
-//! lone figure compute with one code path and render the same bytes.
+//! (each figure function in this crate), so the fused suite and a lone
+//! figure compute with one code path and render the same bytes.
 
 use crate::observed::ObservedRouterInfo;
-use crate::source::SnapshotSource;
+use crate::source::{SnapshotDay, SnapshotSource};
 use i2p_geoip::GeoDb;
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -22,44 +22,40 @@ use std::ops::Range;
 /// One day of a dataset, as the driver hands it to every fold.
 ///
 /// Cheap queries (per-vantage counts, the coverage curve) go straight
-/// to the day's source; the full-fleet union observations are
+/// to the day's handle; the full-fleet union observations are
 /// materialized on first use and then shared by every later reader.
 pub struct DayView<'a> {
-    day: u64,
-    src: &'a dyn SnapshotSource,
+    vantage_count: usize,
+    geo: &'a GeoDb,
+    day: &'a dyn SnapshotDay,
     observations: OnceCell<Vec<ObservedRouterInfo>>,
 }
 
-impl<'a> DayView<'a> {
-    /// Wraps `src`, which must answer queries for `day`.
-    pub fn new(day: u64, src: &'a dyn SnapshotSource) -> DayView<'a> {
-        DayView { day, src, observations: OnceCell::new() }
-    }
-
+impl DayView<'_> {
     /// Number of vantages harvested.
     pub fn vantage_count(&self) -> usize {
-        self.src.vantage_count()
+        self.vantage_count
     }
 
     /// The geo database observations resolve against.
     pub fn geo(&self) -> &GeoDb {
-        self.src.geo()
+        self.geo
     }
 
     /// Peers a single vantage saw on the day.
     pub fn count_one(&self, vantage: usize) -> usize {
-        self.src.count_one(vantage, self.day)
+        self.day.count_one(vantage)
     }
 
     /// Peers the whole fleet saw on the day.
     pub fn count_union(&self) -> usize {
-        self.src.count_union_prefix(self.day, self.vantage_count())
+        self.day.count_union()
     }
 
     /// Fig. 4's cumulative coverage for the day (see
-    /// [`SnapshotSource::coverage_curve`]).
+    /// [`SnapshotDay::coverage_curve`]).
     pub fn coverage_curve(&self) -> Vec<usize> {
-        self.src.coverage_curve(self.day)
+        self.day.coverage_curve()
     }
 
     /// The observation record of every peer the whole fleet saw on the
@@ -67,9 +63,7 @@ impl<'a> DayView<'a> {
     pub fn observations(&self) -> &[ObservedRouterInfo] {
         self.observations.get_or_init(|| {
             let mut out = Vec::new();
-            self.src.for_each_observation_ref(self.day, self.vantage_count(), &mut |rec| {
-                out.push(rec.clone());
-            });
+            self.day.for_each_observation(&mut |rec| out.push(rec.clone()));
             out
         })
     }
@@ -77,7 +71,7 @@ impl<'a> DayView<'a> {
     /// Visits the id of every peer the whole fleet saw on the day,
     /// ascending, off the source's membership sets.
     pub fn for_each_union_id(&self, mut f: impl FnMut(u32)) {
-        self.src.for_each_union_id(self.day, self.vantage_count(), &mut f);
+        self.day.for_each_union_id(&mut f);
     }
 }
 
@@ -100,7 +94,11 @@ impl<F: FnMut(u64, &DayView<'_>)> DayFold for F {
 /// day to `fold`. A suite of folds is one fold that forwards to its
 /// members, so they all share the one walk.
 pub fn run<S: SnapshotSource + ?Sized>(src: &S, days: Range<u64>, fold: &mut dyn DayFold) {
-    src.visit_days(days, &mut |day, day_src| fold.day(day, &DayView::new(day, day_src)));
+    let (vantage_count, geo) = (src.vantage_count(), src.geo());
+    src.visit_days(days, &mut |day, handle| {
+        let view = DayView { vantage_count, geo, day: handle, observations: OnceCell::new() };
+        fold.day(day, &view);
+    });
 }
 
 #[cfg(test)]

@@ -6,13 +6,10 @@
 //! peer reside in the same ASN/country, we count the peer only once.
 //! Otherwise, each different IP is counted."
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
-use crate::ipchurn::{collect_ip_stats_from, PeerIpStats};
+use crate::ipchurn::{collect_ip_stats, PeerIpStats};
 use crate::source::SnapshotSource;
 use i2p_data::FxHashMap;
 use i2p_geoip::GeoDb;
-use i2p_sim::world::World;
 
 /// A ranked distribution row.
 #[derive(Clone, Debug)]
@@ -43,17 +40,11 @@ pub struct GeoReport {
 }
 
 /// Computes Fig. 10 over the window.
-pub fn country_distribution(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> GeoReport {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    country_distribution_from(&engine, days)
-}
-
-/// [`country_distribution`] off any source.
-pub fn country_distribution_from<S: SnapshotSource + ?Sized>(
+pub fn country_distribution<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> GeoReport {
-    GeoReport::of(&collect_ip_stats_from(src, days), src.geo())
+    GeoReport::of(&collect_ip_stats(src, days), src.geo())
 }
 
 impl GeoReport {
@@ -114,17 +105,11 @@ pub struct AsReport {
 }
 
 /// Computes Fig. 11 over the window.
-pub fn as_distribution(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> AsReport {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    as_distribution_from(&engine, days)
-}
-
-/// [`as_distribution`] off any source.
-pub fn as_distribution_from<S: SnapshotSource + ?Sized>(
+pub fn as_distribution<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> AsReport {
-    AsReport::of(&collect_ip_stats_from(src, days))
+    AsReport::of(&collect_ip_stats(src, days))
 }
 
 impl AsReport {
@@ -158,20 +143,22 @@ impl AsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ipchurn::collect_ip_stats;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
 
-    fn setup() -> (World, Fleet) {
-        (
-            World::generate(WorldConfig { days: 30, scale: 0.03, seed: 51 }),
-            Fleet::paper_main(),
-        )
+    fn world() -> World {
+        World::generate(WorldConfig { days: 30, scale: 0.03, seed: 51 })
+    }
+
+    fn engine(w: &World) -> HarvestEngine<'_> {
+        HarvestEngine::build(w, &Fleet::paper_main(), 0..30)
     }
 
     #[test]
     fn fig10_us_leads_top20_majority() {
-        let (w, fleet) = setup();
-        let rep = country_distribution(&w, &fleet, 0..30);
+        let w = world();
+        let rep = country_distribution(&engine(&w), 0..30);
         assert_eq!(rep.rows[0].label, "United States", "US tops Fig. 10");
         // Top-20 carry the majority (paper: >60 %).
         let top20 = rep.rows.get(19).map(|r| r.cumulative_pct).unwrap_or(100.0);
@@ -181,8 +168,8 @@ mod tests {
 
     #[test]
     fn fig10_censored_countries_present() {
-        let (w, fleet) = setup();
-        let rep = country_distribution(&w, &fleet, 0..30);
+        let w = world();
+        let rep = country_distribution(&engine(&w), 0..30);
         assert!(rep.censored_countries >= 10, "censored countries {}", rep.censored_countries);
         let share = rep.censored_peers as f64 / rep.total as f64;
         // Paper: ~6 K of ~170 K cumulative ≈ 3.5 %.
@@ -206,8 +193,8 @@ mod tests {
 
     #[test]
     fn fig11_comcast_leads() {
-        let (w, fleet) = setup();
-        let rep = as_distribution(&w, &fleet, 0..30);
+        let w = world();
+        let rep = as_distribution(&engine(&w), 0..30);
         assert_eq!(rep.rows[0].label, "7922", "AS7922 tops Fig. 11");
         // Top-20 ASes: paper says >30 % of peers.
         let top20 = rep.rows.get(19).map(|r| r.cumulative_pct).unwrap_or(100.0);
@@ -216,9 +203,10 @@ mod tests {
 
     #[test]
     fn multi_country_peers_counted_once_per_country() {
-        let (w, fleet) = setup();
-        let rep = country_distribution(&w, &fleet, 0..30);
-        let stats = collect_ip_stats(&w, &fleet, 0..30);
+        let w = world();
+        let engine = engine(&w);
+        let rep = country_distribution(&engine, 0..30);
+        let stats = collect_ip_stats(&engine, 0..30);
         let naive: usize = stats.values().map(|s| s.countries.len()).sum();
         assert_eq!(rep.total, naive, "counting rule: once per (peer, country)");
         // And the total exceeds the number of peers (roamers add

@@ -6,12 +6,9 @@
 //! (0.65 %) exceeded one hundred addresses; §5.3.2 traces the multi-AS
 //! tail to VPN/Tor-routed routers.
 
-use crate::engine::HarvestEngine;
-use crate::fleet::Fleet;
 use crate::fold::{self, DayFold, DayView};
 use crate::source::SnapshotSource;
 use i2p_data::{FxHashMap, FxHashSet, PeerIp};
-use i2p_sim::world::World;
 
 /// Per-peer address/AS accumulation over the window.
 #[derive(Clone, Debug, Default)]
@@ -45,21 +42,11 @@ pub struct IpChurnReport {
     pub max_countries: usize,
 }
 
-/// Accumulates per-peer IP/AS observations over a window.
-pub fn collect_ip_stats(
-    world: &World,
-    fleet: &Fleet,
-    days: std::ops::Range<u64>,
-) -> FxHashMap<u32, PeerIpStats> {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    collect_ip_stats_from(&engine, days)
-}
-
-/// [`collect_ip_stats`] off any source. A record publishes an address
-/// iff its `ipv4` field is set (capture fills it exactly when the peer
-/// publishes that day), so the observation stream carries everything
-/// the accumulation needs.
-pub fn collect_ip_stats_from<S: SnapshotSource + ?Sized>(
+/// Accumulates per-peer IP/AS observations over a window. A record
+/// publishes an address iff its `ipv4` field is set (capture fills it
+/// exactly when the peer publishes that day), so the observation stream
+/// carries everything the accumulation needs.
+pub fn collect_ip_stats<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> FxHashMap<u32, PeerIpStats> {
@@ -108,17 +95,11 @@ impl DayFold for IpStatsFold {
 }
 
 /// Builds the Fig. 8 / Fig. 12 report.
-pub fn ip_churn_report(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> IpChurnReport {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    ip_churn_report_from(&engine, days)
-}
-
-/// [`ip_churn_report`] off any source.
-pub fn ip_churn_report_from<S: SnapshotSource + ?Sized>(
+pub fn ip_churn_report<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> IpChurnReport {
-    IpChurnReport::of(&collect_ip_stats_from(src, days))
+    IpChurnReport::of(&collect_ip_stats(src, days))
 }
 
 impl IpChurnReport {
@@ -160,12 +141,14 @@ impl IpChurnReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i2p_sim::world::WorldConfig;
+    use crate::engine::HarvestEngine;
+    use crate::fleet::Fleet;
+    use i2p_sim::world::{World, WorldConfig};
 
     fn report() -> IpChurnReport {
         let w = World::generate(WorldConfig { days: 89, scale: 0.01, seed: 31 });
-        let fleet = Fleet::paper_main();
-        ip_churn_report(&w, &fleet, 0..89)
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 0..89);
+        ip_churn_report(&engine, 0..89)
     }
 
     #[test]

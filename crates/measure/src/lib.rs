@@ -41,10 +41,11 @@
 //!   thread-count-independent results (DESIGN.md §6).
 //! * [`closedloop`] — the Fig. 13 → Fig. 14 closed loop: the harvested
 //!   windowed blacklist drives the protocol-level censor.
-//! * [`source`] — the replay abstraction: [`source::SnapshotSource`] is
-//!   the query surface the figure pipelines consume, implemented by the
-//!   live [`engine::HarvestEngine`] and by `i2p-store`'s loaded
-//!   snapshots, with bit-identical figure output either way.
+//! * [`source`] — the replay abstraction: a [`source::SnapshotSource`]
+//!   is a window of days walked one [`source::SnapshotDay`] at a time,
+//!   implemented by the live [`engine::HarvestEngine`] and by
+//!   `i2p-store`'s loaded snapshots, with bit-identical figure output
+//!   either way.
 //! * [`fold`] — the per-day driver behind every figure: one walk over a
 //!   source's days feeds any set of [`fold::DayFold`]s, so the whole
 //!   figure suite reads each day once (DESIGN.md §14).
@@ -85,5 +86,5 @@ pub use engine::HarvestEngine;
 pub use fleet::{Fleet, Vantage, VantageMode};
 pub use keyspace::{KeyspaceConfig, VisibilityModel};
 pub use observed::ObservedRouterInfo;
-pub use source::{Coverage, SnapshotSource};
+pub use source::{Coverage, SnapshotDay, SnapshotSource};
 pub use usability::WarmSubstrate;

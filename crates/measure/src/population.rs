@@ -1,14 +1,13 @@
 //! Population analyses: Figs. 2–6, on the indexed harvest engine.
 //!
-//! Each figure has a `*_from` variant that runs off any
-//! [`SnapshotSource`] — a live engine or a loaded `i2p-store` snapshot —
-//! with bit-identical results; the `(world, fleet, …)` entrypoints are
-//! thin wrappers that fill an engine and delegate. Figs. 4–6 are
-//! per-day folds ([`crate::fold`]): a `*_from` runs its fold alone, and
-//! the CLI's figure suite runs them all in one walk.
+//! Figs. 2–3 are fleet-design experiments that fill their own engines.
+//! Figs. 4–6 run off any [`SnapshotSource`] — a live engine or a loaded
+//! `i2p-store` snapshot — with bit-identical results: each is a per-day
+//! fold ([`crate::fold`]) that its function runs alone, and the CLI's
+//! figure suite runs them all in one walk.
 
 use crate::engine::HarvestEngine;
-use crate::fleet::{Fleet, Vantage, VantageMode};
+use crate::fleet::{Vantage, VantageMode};
 use crate::fold::{self, DayFold, DayView};
 use crate::observed::ObservedRouterInfo;
 use crate::source::SnapshotSource;
@@ -95,21 +94,11 @@ pub fn bandwidth_sweep(world: &World, days: std::ops::Range<u64>) -> Vec<Bandwid
         .collect()
 }
 
-/// Fig. 4: cumulative peers observed when operating 1..=n routers
-/// (half floodfill, half non-floodfill), averaged over `days`.
-pub fn cumulative_by_router_count(
-    world: &World,
-    max_routers: usize,
-    days: std::ops::Range<u64>,
-) -> Vec<(usize, usize)> {
-    let fleet = Fleet::alternating(max_routers);
-    let engine = HarvestEngine::build(world, &fleet, days.clone());
-    cumulative_by_router_count_from(&engine, days)
-}
-
-/// [`cumulative_by_router_count`] off any source; the curve spans the
-/// source's own vantage list.
-pub fn cumulative_by_router_count_from<S: SnapshotSource + ?Sized>(
+/// Fig. 4: cumulative peers observed when operating 1..=n routers,
+/// averaged over `days`; the curve spans the source's own vantage list
+/// (the paper's is [`Fleet::alternating`](crate::fleet::Fleet::alternating),
+/// half floodfill).
+pub fn cumulative_by_router_count<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> Vec<(usize, usize)> {
@@ -167,13 +156,7 @@ pub struct DailyCensus {
 }
 
 /// Fig. 5 + Fig. 6 (single day): full-fleet census of peers and IPs.
-pub fn daily_census(world: &World, fleet: &Fleet, day: u64) -> DailyCensus {
-    let engine = HarvestEngine::build(world, fleet, day..day + 1);
-    daily_census_from(&engine, day)
-}
-
-/// [`daily_census`] off any source (full-fleet union on `day`).
-pub fn daily_census_from<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> DailyCensus {
+pub fn daily_census<S: SnapshotSource + ?Sized>(src: &S, day: u64) -> DailyCensus {
     let mut census = DailyCensus::default();
     fold::run(src, day..day + 1, &mut |_, view: &DayView<'_>| {
         census = DailyCensus::of(view.observations());
@@ -212,18 +195,12 @@ impl DailyCensus {
 }
 
 /// Fig. 6's overlap group: peers seen as firewalled on one day and
-/// hidden on another within the window.
-pub fn firewalled_hidden_overlap(world: &World, fleet: &Fleet, days: std::ops::Range<u64>) -> usize {
-    let engine = HarvestEngine::build(world, fleet, days.clone());
-    firewalled_hidden_overlap_from(&engine, days)
-}
-
-/// [`firewalled_hidden_overlap`] off any source. The observation
-/// predicates mirror the world's reachability postures exactly
+/// hidden on another within the window. The observation predicates
+/// mirror the world's reachability postures exactly
 /// (`Reach::Firewalled` ⇔ `is_firewalled`, `Reach::Hidden` ⇔
 /// `is_hidden` for observed online peers), so this needs only archived
 /// records — no `PeerRecord` access.
-pub fn firewalled_hidden_overlap_from<S: SnapshotSource + ?Sized>(
+pub fn firewalled_hidden_overlap<S: SnapshotSource + ?Sized>(
     src: &S,
     days: std::ops::Range<u64>,
 ) -> usize {
@@ -262,6 +239,7 @@ impl DayFold for OverlapFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::Fleet;
     use i2p_sim::world::WorldConfig;
 
     fn world() -> World {
@@ -302,7 +280,8 @@ mod tests {
     #[test]
     fn fig4_concave_and_saturating() {
         let w = world();
-        let curve = cumulative_by_router_count(&w, 12, 3..5);
+        let engine = HarvestEngine::build(&w, &Fleet::alternating(12), 3..5);
+        let curve = cumulative_by_router_count(&engine, 3..5);
         // Monotone non-decreasing.
         for win in curve.windows(2) {
             assert!(win[1].1 >= win[0].1);
@@ -317,8 +296,8 @@ mod tests {
     #[test]
     fn fig5_ips_below_peers() {
         let w = world();
-        let fleet = Fleet::paper_main();
-        let c = daily_census(&w, &fleet, 6);
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 6..7);
+        let c = daily_census(&engine, 6);
         assert!(c.all_ips < c.peers, "unique IPs ({}) below peers ({})", c.all_ips, c.peers);
         assert!(c.ipv6 < c.ipv4, "IPv6 well below IPv4");
         assert!(c.peers > 0 && c.ipv4 > 0 && c.ipv6 > 0);
@@ -327,8 +306,8 @@ mod tests {
     #[test]
     fn fig6_firewalled_dominate_unknown_ip() {
         let w = world();
-        let fleet = Fleet::paper_main();
-        let c = daily_census(&w, &fleet, 6);
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 6..7);
+        let c = daily_census(&engine, 6);
         assert_eq!(c.unknown_ip, c.firewalled + c.hidden);
         assert!(c.firewalled > c.hidden * 2, "fw {} vs hidden {}", c.firewalled, c.hidden);
         // Roughly half the network has no published IP.
@@ -339,8 +318,8 @@ mod tests {
     #[test]
     fn fig6_overlap_nonempty() {
         let w = world();
-        let fleet = Fleet::paper_main();
-        let overlap = firewalled_hidden_overlap(&w, &fleet, 0..10);
+        let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 0..10);
+        let overlap = firewalled_hidden_overlap(&engine, 0..10);
         assert!(overlap > 0, "switching peers must appear in both groups");
     }
 }

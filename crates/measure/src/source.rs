@@ -4,17 +4,22 @@
 //! The paper's analyses all ran *offline*, against an archive of netDb
 //! harvests collected over weeks — the fleet ran once, the figures ran
 //! forever. [`SnapshotSource`] is that separation line in this
-//! reproduction: every figure pipeline that used to reach into a
-//! [`HarvestEngine`] now consumes this trait, so the same pipeline runs
-//! off either a freshly filled engine (live) or a loaded `i2p-store`
-//! snapshot (replay) with **bit-identical** output. The contract the
-//! two implementations share:
+//! reproduction: every figure function consumes this trait, so the same
+//! pipeline runs off either a freshly filled [`HarvestEngine`] (live) or
+//! a loaded `i2p-store` snapshot (replay) with **bit-identical** output.
 //!
-//! * per-day peer sets are iterated in ascending peer-id order;
-//! * union/prefix counts are cardinalities of the same sets the engine
-//!   computes (the snapshot stores the engine's own sighting sets);
-//! * observation records are exactly the [`ObservedRouterInfo`]s the
-//!   engine materializes (the snapshot archives them verbatim).
+//! The surface is split in two, and the split is the contract:
+//!
+//! * the **window** ([`SnapshotSource`]) knows its day range, its
+//!   vantage count and its geo database, and walks its days in
+//!   ascending order ([`SnapshotSource::visit_days`]) — nothing on it
+//!   takes a day;
+//! * the **day** ([`SnapshotDay`]) is the handle that walk hands out,
+//!   and the only place per-day queries live: per-vantage counts, the
+//!   full-fleet union count, the coverage curve, the union's peer ids
+//!   ascending, and the union's observation records ascending by peer
+//!   id — exactly the sets and [`ObservedRouterInfo`]s the engine
+//!   computes (the snapshot archives them verbatim).
 //!
 //! `tests/store_replay.rs` in the umbrella crate pins the byte-identity
 //! end to end (text and CSV figure renders, live vs replayed).
@@ -70,8 +75,8 @@ impl Coverage {
     }
 }
 
-/// A queryable harvested dataset: either a live [`HarvestEngine`] or a
-/// loaded snapshot.
+/// A queryable harvested dataset — either a live [`HarvestEngine`] or
+/// a loaded snapshot — seen as a window of days.
 pub trait SnapshotSource {
     /// The day range the dataset covers.
     fn days(&self) -> Range<u64>;
@@ -84,35 +89,12 @@ pub trait SnapshotSource {
     /// parameter-free) synthetic database.
     fn geo(&self) -> &GeoDb;
 
-    /// Peers a single vantage saw on `day`.
-    fn count_one(&self, vantage: usize, day: u64) -> usize;
-
-    /// Peers the first `k` vantages saw on `day`.
-    fn count_union_prefix(&self, day: u64, k: usize) -> usize;
-
-    /// Fig. 4's cumulative coverage: `curve[k-1]` = peers seen by the
-    /// first `k` vantages on `day`.
-    fn coverage_curve(&self, day: u64) -> Vec<usize>;
-
-    /// Visits the id of every peer the first `k` vantages saw on `day`,
-    /// ascending.
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32));
-
-    /// Visits the observation record of every peer the first `k`
-    /// vantages saw on `day`, ascending by peer id.
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    );
-
-    /// Visits each day of `days` in ascending order, handing `f` a
-    /// source that answers that day's queries. Every whole-window reader
-    /// (the figure driver in [`crate::fold`], [`coverage`](Self::coverage))
-    /// goes through this visit, so a file-backed source loads each day
-    /// once per walk and holds only that day.
-    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource));
+    /// Visits each day of `days` in ascending order, handing `f` that
+    /// day's [`SnapshotDay`]. Every reader goes through this visit (the
+    /// figure driver in [`crate::fold`], [`coverage`](Self::coverage)),
+    /// so a file-backed source loads each day once per walk and holds
+    /// only that day.
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotDay));
 
     /// The dataset's (vantage, day) coverage ledger; see [`Coverage`].
     fn coverage(&self) -> Coverage {
@@ -120,6 +102,27 @@ pub trait SnapshotSource {
         fold::run(self, self.days(), &mut cov);
         cov.finish()
     }
+}
+
+/// One day of a [`SnapshotSource`], as its day walk hands it out. Every
+/// union below is the whole fleet's.
+pub trait SnapshotDay {
+    /// Peers a single vantage saw.
+    fn count_one(&self, vantage: usize) -> usize;
+
+    /// Peers the whole fleet saw.
+    fn count_union(&self) -> usize;
+
+    /// Fig. 4's cumulative coverage: `curve[k-1]` = peers seen by the
+    /// first `k` vantages.
+    fn coverage_curve(&self) -> Vec<usize>;
+
+    /// Visits the id of every peer the fleet saw, ascending.
+    fn for_each_union_id(&self, f: &mut dyn FnMut(u32));
+
+    /// Visits the observation record of every peer the fleet saw,
+    /// ascending by peer id.
+    fn for_each_observation(&self, f: &mut dyn FnMut(&ObservedRouterInfo));
 }
 
 /// The [`Coverage`] ledger as a per-day fold.
@@ -164,34 +167,40 @@ impl SnapshotSource for HarvestEngine<'_> {
         &self.world().geo
     }
 
-    fn count_one(&self, vantage: usize, day: u64) -> usize {
-        HarvestEngine::count_one(self, vantage, day)
-    }
-
-    fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        HarvestEngine::count_union_prefix(self, day, k)
-    }
-
-    fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        HarvestEngine::coverage_curve(self, day)
-    }
-
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.for_each_union_peer(day, k, |peer| f(peer.id));
-    }
-
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.for_each_observation(day, k, |rec| f(&rec));
-    }
-
-    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotDay)) {
         for day in days {
-            f(day, self);
+            f(day, &EngineDay { engine: self, day });
         }
+    }
+}
+
+/// One filled day of a [`HarvestEngine`]: the engine's `(day, k)`
+/// queries with the day fixed and `k` the whole fleet.
+struct EngineDay<'a, 'w> {
+    engine: &'a HarvestEngine<'w>,
+    day: u64,
+}
+
+impl SnapshotDay for EngineDay<'_, '_> {
+    fn count_one(&self, vantage: usize) -> usize {
+        self.engine.count_one(vantage, self.day)
+    }
+
+    fn count_union(&self) -> usize {
+        self.engine.count_union(self.day)
+    }
+
+    fn coverage_curve(&self) -> Vec<usize> {
+        self.engine.coverage_curve(self.day)
+    }
+
+    fn for_each_union_id(&self, f: &mut dyn FnMut(u32)) {
+        let k = self.engine.vantages().len();
+        self.engine.for_each_union_peer(self.day, k, |peer| f(peer.id));
+    }
+
+    fn for_each_observation(&self, f: &mut dyn FnMut(&ObservedRouterInfo)) {
+        let k = self.engine.vantages().len();
+        self.engine.for_each_observation(self.day, k, |rec| f(&rec));
     }
 }

@@ -13,25 +13,24 @@
 //! structure and day sequence as it goes), and verifies the whole-file
 //! trailer checksum through the streaming [`format::Hasher`] in
 //! O(chunk) memory. Day segments are then seeked, checksummed and
-//! decoded on demand behind [`SnapshotSource`] and dropped as soon as
-//! the query that loaded them returns — so peak memory is O(largest
-//! day), not O(archive), and replayed figures remain byte-identical to
-//! the eager loader's (pinned by `tests/scale_parity.rs`).
+//! decoded on demand, one per visited day, and dropped as soon as that
+//! day's visit returns — so peak memory is O(largest day), not
+//! O(archive), and replayed figures remain byte-identical to the eager
+//! loader's (pinned by `tests/scale_parity.rs`).
 //!
-//! There is no segment cache. Whole-window readers walk the archive
-//! through [`SnapshotSource::visit_days`], which loads each day exactly
-//! once and drops it before loading the next; a full figure render is
-//! one such walk (`i2p_measure::fold`). Every load is ledgered by the
-//! `segments_lazy_loaded` counter and by the reader's own
-//! [`LazySnapshot::segment_loads`].
+//! There is no segment cache. Every reader walks the archive through
+//! [`SnapshotSource::visit_days`] — the only way to query a day — which
+//! loads each day exactly once and drops it before loading the next; a
+//! full figure render is one such walk (`i2p_measure::fold`). Every
+//! load is ledgered by the `segments_lazy_loaded` counter and by the
+//! reader's own [`LazySnapshot::segment_loads`].
 
 use crate::format::{checksum, Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
 use crate::snapshot::{verify_segment_router_infos, DaySegment, SegmentDay};
 use crate::{SnapshotMeta, StoreError};
 use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
-use i2p_measure::observed::ObservedRouterInfo;
-use i2p_measure::source::SnapshotSource;
+use i2p_measure::source::{SnapshotDay, SnapshotSource};
 use std::cell::{Cell, RefCell};
 use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom};
@@ -194,20 +193,6 @@ impl LazySnapshot {
         Ok(seg)
     }
 
-    /// Loads the segment of `day` and answers `f` off it, for replay
-    /// queries, which have no error channel: the archive was fully
-    /// checksummed at open, so a failure here means the file was
-    /// truncated or rewritten underneath the replay — abort loudly
-    /// rather than return figures off a file that is no longer the one
-    /// that was opened.
-    fn with_day<T>(&self, day: u64, f: impl FnOnce(&SegmentDay<'_>) -> T) -> T {
-        let di = self.di(day);
-        let seg = self.load_segment(di).unwrap_or_else(|e| {
-            panic!("lazy snapshot: day segment {di} unreadable after a verified open: {e}") // i2plint: allow(panic-audit) -- the file verified at open; losing it mid-replay is unrecoverable external interference
-        });
-        f(&SegmentDay { seg: &seg, geo: &self.geo })
-    }
-
     /// Streaming [`crate::Snapshot::verify_router_infos`]: decodes and
     /// signature-verifies every archived RouterInfo one day segment at
     /// a time, so verification of a huge archive never holds more than
@@ -246,36 +231,21 @@ impl SnapshotSource for LazySnapshot {
         &self.geo
     }
 
-    fn count_one(&self, vantage: usize, day: u64) -> usize {
-        self.with_day(day, |seg| seg.count_one(vantage, day))
-    }
-
-    fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        self.with_day(day, |seg| seg.count_union_prefix(day, k))
-    }
-
-    fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        self.with_day(day, |seg| seg.coverage_curve(day))
-    }
-
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.with_day(day, |seg| seg.for_each_union_id(day, k, f))
-    }
-
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.with_day(day, |seg| seg.for_each_observation_ref(day, k, f))
-    }
-
     /// Loads each day's segment once, hands it out, and drops it before
     /// loading the next: a walk holds one day at a time.
-    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+    ///
+    /// The walk has no error channel, and the archive was fully
+    /// checksummed at open, so a load failure means the file was
+    /// truncated or rewritten underneath the replay — abort loudly
+    /// rather than return figures off a file that is no longer the one
+    /// that was opened.
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotDay)) {
         for day in days {
-            self.with_day(day, |seg| f(day, seg));
+            let di = self.di(day);
+            let seg = self.load_segment(di).unwrap_or_else(|e| {
+                panic!("lazy snapshot: day segment {di} unreadable after a verified open: {e}") // i2plint: allow(panic-audit) -- the file verified at open; losing it mid-replay is unrecoverable external interference
+            });
+            f(day, &SegmentDay(&seg));
         }
     }
 }
@@ -324,28 +294,25 @@ mod tests {
         assert_eq!(lazy.meta(), eager.meta());
         assert_eq!(SnapshotSource::days(&lazy), SnapshotSource::days(&eager));
         assert_eq!(lazy.vantage_count(), eager.vantage_count());
-        for day in 0..4 {
-            assert_eq!(lazy.coverage_curve(day), eager.coverage_curve(day), "day {day}");
-            for k in 1..=4 {
-                assert_eq!(
-                    SnapshotSource::count_union_prefix(&lazy, day, k),
-                    SnapshotSource::count_union_prefix(&eager, day, k)
-                );
-            }
-            for v in 0..4 {
-                assert_eq!(
-                    SnapshotSource::count_one(&lazy, v, day),
-                    SnapshotSource::count_one(&eager, v, day)
-                );
-            }
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            lazy.for_each_union_id(day, 4, &mut |id| a.push(id));
-            eager.for_each_union_id(day, 4, &mut |id| b.push(id));
-            assert_eq!(a, b, "day {day} union ids");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            lazy.for_each_observation_ref(day, 4, &mut |r| a.push(r.clone()));
-            eager.for_each_observation_ref(day, 4, &mut |r| b.push(r.clone()));
-            assert_eq!(a, b, "day {day} observations");
+        // Both walks reduced to everything a day answers, then compared
+        // day for day.
+        let answers = |src: &dyn SnapshotSource| {
+            let mut out = Vec::new();
+            src.visit_days(0..4, &mut |day, d| {
+                let counts: Vec<usize> = (0..4).map(|v| d.count_one(v)).collect();
+                let (mut ids, mut obs) = (Vec::new(), Vec::new());
+                d.for_each_union_id(&mut |id| ids.push(id));
+                d.for_each_observation(&mut |r| obs.push(r.clone()));
+                out.push((day, d.coverage_curve(), d.count_union(), counts, ids, obs));
+            });
+            out
+        };
+        // A day's coverage curve holds every prefix union: `curve[k-1]`
+        // is the union of the first `k` vantages.
+        let (a, b) = (answers(&lazy), answers(&eager));
+        assert_eq!(a.len(), 4);
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!(a, b, "day {}", a.0);
         }
         assert_eq!(
             lazy.verify_router_infos().expect("streaming verify"),
@@ -360,19 +327,23 @@ mod tests {
         assert_eq!(lazy.segment_loads(), 0, "open decodes no segment");
         // A walk loads each visited day once, however many queries the
         // visitor makes of it.
-        let mut curves = Vec::new();
-        lazy.visit_days(1..4, &mut |day, src| {
-            curves.push(src.coverage_curve(day));
-            assert_eq!(src.count_union_prefix(day, 4), curves[curves.len() - 1][3]);
-        });
+        let curves_of = |src: &dyn SnapshotSource| {
+            let mut curves = Vec::new();
+            src.visit_days(1..4, &mut |_, d| {
+                curves.push(d.coverage_curve());
+                assert_eq!(d.count_union(), curves[curves.len() - 1][3]);
+            });
+            curves
+        };
+        let curves = curves_of(&lazy);
         assert_eq!(lazy.segment_loads(), 3);
-        assert_eq!(curves, (1..4).map(|d| eager.coverage_curve(d)).collect::<Vec<_>>());
+        assert_eq!(curves, curves_of(&eager));
         // The coverage ledger is one walk of the whole archive.
         assert_eq!(lazy.coverage(), eager.coverage());
         assert_eq!(lazy.segment_loads(), 3 + 4);
-        // A lone query loads its day and keeps nothing.
-        lazy.coverage_curve(2);
-        lazy.coverage_curve(2);
+        // A one-day walk loads its day and keeps nothing.
+        lazy.visit_days(2..3, &mut |_, d| drop(d.coverage_curve()));
+        lazy.visit_days(2..3, &mut |_, d| drop(d.coverage_curve()));
         assert_eq!(lazy.segment_loads(), 3 + 4 + 2);
     }
 

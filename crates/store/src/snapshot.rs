@@ -10,7 +10,7 @@ use i2p_geoip::GeoDb;
 use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::{Vantage, VantageMode};
 use i2p_measure::observed::ObservedRouterInfo;
-use i2p_measure::source::SnapshotSource;
+use i2p_measure::source::{SnapshotDay, SnapshotSource};
 use std::ops::Range;
 use std::path::Path;
 
@@ -58,7 +58,7 @@ pub(crate) struct DaySegment {
 
 /// A loaded or freshly captured harvest snapshot.
 ///
-/// Implements [`SnapshotSource`], so every `*_from` figure pipeline in
+/// Implements [`SnapshotSource`], so every figure function in
 /// `i2p-measure` runs off it exactly as it runs off a live engine.
 pub struct Snapshot {
     meta: SnapshotMeta,
@@ -287,11 +287,6 @@ impl Snapshot {
         );
         (day - span.start) as usize
     }
-
-    /// The segment of `day` as a one-day source.
-    fn at(&self, day: u64) -> SegmentDay<'_> {
-        SegmentDay { seg: &self.days[self.di(day)], geo: &self.geo }
-    }
 }
 
 impl SnapshotSource for Snapshot {
@@ -307,78 +302,29 @@ impl SnapshotSource for Snapshot {
         &self.geo
     }
 
-    fn count_one(&self, vantage: usize, day: u64) -> usize {
-        self.at(day).count_one(vantage, day)
-    }
-
-    fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        self.at(day).count_union_prefix(day, k)
-    }
-
-    fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        self.at(day).coverage_curve(day)
-    }
-
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.at(day).for_each_union_id(day, k, f)
-    }
-
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.at(day).for_each_observation_ref(day, k, f)
-    }
-
-    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
+    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotDay)) {
         for day in days {
-            f(day, &self.at(day));
+            f(day, &SegmentDay(&self.days[self.di(day)]));
         }
     }
 }
 
-/// One decoded day segment as a [`SnapshotSource`] spanning just that
-/// day: the query implementation both the eager [`Snapshot`] and the
-/// lazy reader serve from, and what their per-day visits hand out.
-pub(crate) struct SegmentDay<'a> {
-    pub seg: &'a DaySegment,
-    pub geo: &'a GeoDb,
-}
+/// One decoded day segment as a [`SnapshotDay`]: the query
+/// implementation both the eager [`Snapshot`] and the lazy reader serve
+/// their day walks from.
+pub(crate) struct SegmentDay<'a>(pub &'a DaySegment);
 
-impl SegmentDay<'_> {
-    fn check(&self, day: u64) {
-        assert_eq!(day, self.seg.day, "a day view answers only for its own day");
-    }
-}
-
-impl SnapshotSource for SegmentDay<'_> {
-    fn days(&self) -> Range<u64> {
-        self.seg.day..self.seg.day + 1
+impl SnapshotDay for SegmentDay<'_> {
+    fn count_one(&self, vantage: usize) -> usize {
+        self.0.lanes[vantage].iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    fn vantage_count(&self) -> usize {
-        self.seg.lanes.len()
-    }
-
-    fn geo(&self) -> &GeoDb {
-        self.geo
-    }
-
-    fn count_one(&self, vantage: usize, day: u64) -> usize {
-        self.check(day);
-        self.seg.lanes[vantage].iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    fn count_union_prefix(&self, day: u64, k: usize) -> usize {
-        self.check(day);
-        let seg = self.seg;
-        let k = k.min(seg.lanes.len());
+    fn count_union(&self) -> usize {
+        let seg = self.0;
         let mut count = 0usize;
         for j in 0..seg.words {
             let mut acc = 0u64;
-            for lane in &seg.lanes[..k] {
+            for lane in &seg.lanes {
                 acc |= lane[j];
             }
             count += acc.count_ones() as usize;
@@ -386,9 +332,8 @@ impl SnapshotSource for SegmentDay<'_> {
         count
     }
 
-    fn coverage_curve(&self, day: u64) -> Vec<usize> {
-        self.check(day);
-        let seg = self.seg;
+    fn coverage_curve(&self) -> Vec<usize> {
+        let seg = self.0;
         let mut acc = vec![0u64; seg.words];
         let mut curve = Vec::with_capacity(seg.lanes.len());
         for lane in &seg.lanes {
@@ -402,28 +347,14 @@ impl SnapshotSource for SegmentDay<'_> {
         curve
     }
 
-    fn for_each_union_id(&self, day: u64, k: usize, f: &mut dyn FnMut(u32)) {
-        self.check(day);
-        let seg = self.seg;
-        for_each_union_row(seg, k, &mut |row| f(seg.observations[row].peer_id));
+    fn for_each_union_id(&self, f: &mut dyn FnMut(u32)) {
+        let seg = self.0;
+        for_each_union_row(seg, &mut |row| f(seg.observations[row].peer_id));
     }
 
-    fn for_each_observation_ref(
-        &self,
-        day: u64,
-        k: usize,
-        f: &mut dyn FnMut(&ObservedRouterInfo),
-    ) {
-        self.check(day);
-        let seg = self.seg;
-        for_each_union_row(seg, k, &mut |row| f(&seg.observations[row]));
-    }
-
-    fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotSource)) {
-        for day in days {
-            self.check(day);
-            f(day, self);
-        }
+    fn for_each_observation(&self, f: &mut dyn FnMut(&ObservedRouterInfo)) {
+        let seg = self.0;
+        for_each_union_row(seg, &mut |row| f(&seg.observations[row]));
     }
 }
 
@@ -464,13 +395,12 @@ pub(crate) fn verify_segment_router_infos(seg: &DaySegment) -> Result<usize, Sto
     Ok(verified)
 }
 
-/// Visits every row position set in the OR of the first `k` lanes,
-/// ascending (= ascending peer id, since rows are id-sorted).
-pub(crate) fn for_each_union_row(seg: &DaySegment, k: usize, f: &mut dyn FnMut(usize)) {
-    let k = k.min(seg.lanes.len());
+/// Visits every row position set in the OR of all lanes, ascending
+/// (= ascending peer id, since rows are id-sorted).
+fn for_each_union_row(seg: &DaySegment, f: &mut dyn FnMut(usize)) {
     for j in 0..seg.words {
         let mut acc = 0u64;
-        for lane in &seg.lanes[..k] {
+        for lane in &seg.lanes {
             acc |= lane[j];
         }
         while acc != 0 {
@@ -559,6 +489,13 @@ mod tests {
         )
     }
 
+    /// Each day's coverage curve over `days`, off one day walk.
+    fn curves(src: &Snapshot, days: Range<u64>) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        src.visit_days(days, &mut |_, d| out.push(d.coverage_curve()));
+        out
+    }
+
     #[test]
     fn keyspace_and_sybil_captures_roundtrip_bit_identically() {
         // The snapshot format archives whatever sighting sets the
@@ -580,12 +517,12 @@ mod tests {
         for engine in [&keyed, &attacked] {
             let bytes = Snapshot::capture(engine).to_bytes().expect("encode");
             let replay = Snapshot::from_bytes(&bytes).expect("roundtrip");
-            for day in 0..4 {
-                assert_eq!(replay.coverage_curve(day), engine.coverage_curve(day));
+            replay.visit_days(0..4, &mut |day, replayed| {
+                assert_eq!(replayed.coverage_curve(), engine.coverage_curve(day));
                 let mut ids = Vec::new();
-                replay.for_each_union_id(day, 4, &mut |id| ids.push(id));
+                replayed.for_each_union_id(&mut |id| ids.push(id));
                 assert_eq!(ids, engine.union_prefix_ids(day, 4), "day {day}");
-            }
+            });
         }
         // Sybils only ever absorb stores, so the attacked census can
         // never exceed the clean keyspace one.
@@ -624,26 +561,25 @@ mod tests {
         let snap = Snapshot::capture(&engine);
         assert_eq!(SnapshotSource::days(&snap), 0..4);
         assert_eq!(snap.vantage_count(), 4);
-        for day in 0..4 {
-            assert_eq!(snap.coverage_curve(day), engine.coverage_curve(day), "day {day}");
+        let mut visited = Vec::new();
+        snap.visit_days(0..4, &mut |day, replayed| {
+            let curve = replayed.coverage_curve();
+            assert_eq!(curve, engine.coverage_curve(day), "day {day}");
             for k in 1..=4 {
-                assert_eq!(
-                    SnapshotSource::count_union_prefix(&snap, day, k),
-                    engine.count_union_prefix(day, k)
-                );
+                assert_eq!(curve[k - 1], engine.count_union_prefix(day, k));
             }
+            assert_eq!(replayed.count_union(), engine.count_union(day));
             for v in 0..4 {
-                assert_eq!(
-                    SnapshotSource::count_one(&snap, v, day),
-                    engine.count_one(v, day)
-                );
+                assert_eq!(replayed.count_one(v), engine.count_one(v, day));
             }
             let mut live = Vec::new();
             engine.for_each_observation(day, 4, |rec| live.push(rec));
             let mut replay = Vec::new();
-            snap.for_each_observation_ref(day, 4, &mut |rec| replay.push(rec.clone()));
+            replayed.for_each_observation(&mut |rec| replay.push(rec.clone()));
             assert_eq!(live, replay, "day {day} observations");
-        }
+            visited.push(day);
+        });
+        assert_eq!(visited, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -763,9 +699,8 @@ mod tests {
             }
             assert_eq!(part.meta().n_days, report.recovered_days);
             // The recovered prefix replays identically to the original.
-            for day in 0..report.recovered_days as u64 {
-                assert_eq!(part.coverage_curve(day), snap.coverage_curve(day), "cut {cut}");
-            }
+            let kept = 0..report.recovered_days as u64;
+            assert_eq!(curves(&part, kept.clone()), curves(&snap, kept), "cut {cut}");
             part.verify_router_infos().expect("recovered records verify");
         }
 

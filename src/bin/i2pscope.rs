@@ -155,8 +155,8 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--list" => args.list = true,
             "--scale" => args.knobs.scale = parse_num(&value("--scale")?, "--scale")?,
             "--seed" => args.knobs.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--days" => args.knobs.days = parse_num(&value("--days")?, "--days")?,
-            "--fleet" => args.knobs.fleet = parse_num(&value("--fleet")?, "--fleet")?,
+            "--days" => args.knobs.days = parse_count(&value("--days")?, "--days")?,
+            "--fleet" => args.knobs.fleet = parse_count(&value("--fleet")?, "--fleet")?,
             "--replicates" => {
                 args.knobs.replicates = parse_num(&value("--replicates")?, "--replicates")?
             }
@@ -177,6 +177,18 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
 
 fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("{flag} {v:?} is not a valid {}", std::any::type_name::<T>()))
+}
+
+/// [`parse_num`] for a count that must be at least 1 (`--days`, `--fleet`).
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    v: &str,
+    flag: &str,
+) -> Result<T, String> {
+    let n = parse_num(v, flag)?;
+    if n == T::default() {
+        return Err(format!("{flag} {v:?} must be at least 1"));
+    }
+    Ok(n)
 }
 
 fn run() -> Result<String, String> {

@@ -28,6 +28,7 @@ use i2p_measure::{capacity, churn, ipchurn, population, report, sybil};
 use i2p_sim::world::{World, WorldConfig};
 use i2p_store::{LazySnapshot, Snapshot, StoreError};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
 /// Salt mixed into the fault plane's seed so fault draws never reuse
@@ -113,14 +114,24 @@ pub fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
     }
 }
 
+/// [`env_parse`] for a count that must be at least 1 (`I2PSCOPE_DAYS`,
+/// `I2PSCOPE_FLEET`): zero panics like any other malformed value.
+pub fn env_count<T: std::str::FromStr + Default + PartialEq>(name: &str, default: T) -> T {
+    let n = env_parse(name, default);
+    if n == T::default() {
+        panic!("{name}=0 is not a valid count (must be at least 1)") // i2plint: allow(panic-audit) -- malformed env knobs abort the run loudly (documented knob contract)
+    }
+    n
+}
+
 impl Knobs {
     /// Resolves every knob from the environment.
     pub fn from_env() -> Self {
         Knobs {
             scale: env_parse("I2PSCOPE_SCALE", 1.0),
             seed: env_parse("I2PSCOPE_SEED", 20_180_201),
-            days: env_parse("I2PSCOPE_DAYS", 89),
-            fleet: env_parse("I2PSCOPE_FLEET", 20),
+            days: env_count("I2PSCOPE_DAYS", 89),
+            fleet: env_count("I2PSCOPE_FLEET", 20),
             replicates: env_parse("I2PSCOPE_REPLICATES", 1),
             threads: env_parse("I2PSCOPE_THREADS", 0),
             model: env_parse("I2PSCOPE_MODEL", Model::Uniform),
@@ -149,6 +160,18 @@ impl Knobs {
         } else {
             Fleet::alternating(self.fleet)
         }
+    }
+
+    /// The configured harvest of `world` over `days`: this fleet, under
+    /// this visibility model and fault plane.
+    pub fn engine<'w>(&self, world: &'w World, days: Range<u64>) -> HarvestEngine<'w> {
+        HarvestEngine::build_faulted(
+            world,
+            &self.fleet(),
+            days,
+            &self.model.visibility(),
+            &self.plane(),
+        )
     }
 }
 
@@ -476,20 +499,13 @@ pub fn audit_line(knobs: &Knobs, src: &dyn SnapshotSource) -> String {
 /// is this function at example scale).
 pub fn census(knobs: &Knobs, format: Format, figs: &[FigId]) -> String {
     let world = knobs.world();
-    let fleet = knobs.fleet();
-    let engine = HarvestEngine::build_faulted(
-        &world,
-        &fleet,
-        0..knobs.days,
-        &knobs.model.visibility(),
-        &knobs.plane(),
-    );
+    let engine = knobs.engine(&world, 0..knobs.days);
     let mut out = format!(
         "world: {} peers over {} days, ~{} online daily; fleet: {} monitoring routers\n\n",
         world.total_peers(),
         knobs.days,
         world.online_count(knobs.days / 2),
-        fleet.vantages.len()
+        engine.vantages().len()
     );
     out.push_str(&render_figures(&engine, format, figs));
     out
@@ -522,28 +538,14 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
         let done = m.n_days as u64;
         let _ = writeln!(out, "resume: existing snapshot {report}");
         if done < knobs.days {
-            let engine = HarvestEngine::build_faulted(
-                &world,
-                &fleet,
-                done..knobs.days,
-                &knobs.model.visibility(),
-                &plane,
-            );
-            head.extend(Snapshot::capture(&engine))?;
+            head.extend(Snapshot::capture(&knobs.engine(&world, done..knobs.days)))?;
             let _ = writeln!(out, "resume: harvested days {done}..{}", knobs.days);
         } else {
             let _ = writeln!(out, "resume: nothing to do ({done} days already archived)");
         }
         head
     } else {
-        let engine = HarvestEngine::build_faulted(
-            &world,
-            &fleet,
-            0..knobs.days,
-            &knobs.model.visibility(),
-            &plane,
-        );
-        Snapshot::capture(&engine)
+        Snapshot::capture(&knobs.engine(&world, 0..knobs.days))
     };
     let bytes = snapshot.to_bytes()?;
     snapshot.write_to_with(out_path, &plane)?;
@@ -571,29 +573,14 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
 /// world and live harvest.
 pub fn figures_live(knobs: &Knobs, format: Format, figs: &[FigId]) -> String {
     let world = knobs.world();
-    let fleet = knobs.fleet();
-    let engine = HarvestEngine::build_faulted(
-        &world,
-        &fleet,
-        0..knobs.days,
-        &knobs.model.visibility(),
-        &knobs.plane(),
-    );
-    render_figures(&engine, format, figs)
+    render_figures(&knobs.engine(&world, 0..knobs.days), format, figs)
 }
 
 /// [`figures_live`] plus the trailing audit line (a `#` comment in CSV
 /// mode) — the form the chaos goldens pin.
 pub fn figures_live_audited(knobs: &Knobs, format: Format, figs: &[FigId]) -> String {
     let world = knobs.world();
-    let fleet = knobs.fleet();
-    let engine = HarvestEngine::build_faulted(
-        &world,
-        &fleet,
-        0..knobs.days,
-        &knobs.model.visibility(),
-        &knobs.plane(),
-    );
+    let engine = knobs.engine(&world, 0..knobs.days);
     let mut out = render_figures(&engine, format, figs);
     let prefix = match format {
         Format::Text => "",

@@ -3,6 +3,7 @@
 //! a nondeterministic world would make paper-vs-measured comparisons
 //! unrepeatable.
 
+use i2pscope::measure::engine::HarvestEngine;
 use i2pscope::measure::fleet::Fleet;
 use i2pscope::measure::population::daily_census;
 use i2pscope::sim::world::{World, WorldConfig};
@@ -13,9 +14,10 @@ fn world_generation_is_deterministic_across_runs() {
     let fleet = Fleet::paper_main();
 
     let censuses = |w: &World| -> Vec<(usize, usize, usize, usize, usize)> {
+        let engine = HarvestEngine::build(w, &fleet, 0..12);
         (0..12)
             .map(|day| {
-                let c = daily_census(w, &fleet, day);
+                let c = daily_census(&engine, day);
                 (c.peers, c.ipv4, c.all_ips, c.firewalled, c.hidden)
             })
             .collect()
@@ -38,7 +40,7 @@ fn world_generation_depends_on_every_config_field() {
     let fleet = Fleet::paper_main();
     let probe = |cfg: WorldConfig| {
         let w = World::generate(cfg);
-        let c = daily_census(&w, &fleet, 3);
+        let c = daily_census(&HarvestEngine::build(&w, &fleet, 3..4), 3);
         (c.peers, c.ipv4)
     };
 

@@ -10,13 +10,16 @@
 //!   header is covered).
 //! * **One load per day** — a full render over a `LazySnapshot` loads
 //!   each day segment exactly once.
+//!
+//! It also holds each figure function of `i2p-measure` to one result on
+//! every source.
 
 use i2pscope::cli::{self, FigId, Format};
 use i2pscope::faults::{FaultPlane, FaultSpec};
 use i2pscope::measure::fleet::Fleet;
 use i2pscope::measure::keyspace::VisibilityModel;
 use i2pscope::measure::source::SnapshotSource;
-use i2pscope::measure::HarvestEngine;
+use i2pscope::measure::{capacity, churn, geo, ipchurn, population, HarvestEngine};
 use i2pscope::sim::world::{World, WorldConfig};
 use i2pscope::store::{LazySnapshot, Snapshot};
 use std::path::PathBuf;
@@ -101,6 +104,42 @@ fn each_figure_alone_is_its_block_of_the_suite_on_every_source() {
             cli::render_figures(&live, Format::Text, &FigId::ALL),
             "[{faults}]: lazy replay diverged from the live render"
         );
+    }
+}
+
+/// Every figure function's result over a sub-window of `src`, as
+/// `{:?}` text.
+fn figure_results(src: &dyn SnapshotSource) -> Vec<String> {
+    let window = 2..DAYS - 1;
+    let day = DAYS / 2;
+    vec![
+        format!("{:?}", population::cumulative_by_router_count(src, window.clone())),
+        format!("{:?}", population::daily_census(src, day)),
+        format!("{:?}", population::firewalled_hidden_overlap(src, window.clone())),
+        format!("{:?}", churn::churn_curves(src, 7)),
+        format!("{:?}", ipchurn::collect_ip_stats(src, window.clone())),
+        format!("{:?}", ipchurn::ip_churn_report(src, window.clone())),
+        format!("{:?}", geo::country_distribution(src, window.clone())),
+        format!("{:?}", geo::as_distribution(src, window.clone())),
+        format!("{:?}", capacity::capacity_histogram(src, window)),
+        format!("{:?}", capacity::bandwidth_table(src, day)),
+        format!("{:?}", capacity::floodfill_estimate(src, day)),
+    ]
+}
+
+#[test]
+fn each_figure_function_gives_one_result_on_every_source() {
+    let world = world();
+    for faults in ["", "outage=0.3"] {
+        let live = engine(&world, faults);
+        let eager = Snapshot::capture(&live);
+        let scratch = Scratch::new(&format!("functions-{}.i2ps", faults.len()));
+        eager.write_to(&scratch.0).expect("write archive");
+        let lazy = LazySnapshot::open(&scratch.0).expect("lazy open");
+        let expected = figure_results(&live);
+        assert_eq!(expected.len(), 11);
+        assert_eq!(figure_results(&eager), expected, "[{faults}]: eager snapshot");
+        assert_eq!(figure_results(&lazy), expected, "[{faults}]: lazy snapshot");
     }
 }
 

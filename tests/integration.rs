@@ -5,6 +5,7 @@
 use i2pscope::measure::capacity::{bandwidth_table, capacity_histogram, floodfill_estimate};
 use i2pscope::measure::censor::{blocking_matrix, censor_blacklist, victim_view};
 use i2pscope::measure::churn::churn_curves;
+use i2pscope::measure::engine::HarvestEngine;
 use i2pscope::measure::fleet::Fleet;
 use i2pscope::measure::geo::{as_distribution, country_distribution};
 use i2pscope::measure::ipchurn::ip_churn_report;
@@ -26,31 +27,34 @@ fn full_pipeline_produces_all_figures() {
     assert_eq!(sweep.len(), 7);
     assert!(!report::render_fig3(&sweep).is_empty());
 
-    let curve = cumulative_by_router_count(&w, 20, 2..4);
+    let routers = HarvestEngine::build(&w, &Fleet::alternating(20), 2..4);
+    let curve = cumulative_by_router_count(&routers, 2..4);
     assert_eq!(curve.len(), 20);
 
-    let census: Vec<_> = (0..10).map(|d| (d, daily_census(&w, &fleet, d))).collect();
+    // One engine over the whole window feeds every other figure.
+    let engine = HarvestEngine::build(&w, &fleet, 0..40);
+    let census: Vec<_> = (0..10).map(|d| (d, daily_census(&engine, d))).collect();
     assert!(census.iter().all(|(_, c)| c.peers > 0));
     assert!(!report::render_fig5(&census).is_empty());
 
-    let churn = churn_curves(&w, &fleet, 40, 30);
+    let churn = churn_curves(&engine, 30);
     assert!(churn.cohort > 0);
 
-    let ip = ip_churn_report(&w, &fleet, 0..40);
+    let ip = ip_churn_report(&engine, 0..40);
     assert!(ip.known_ip_peers > 0);
 
-    let cap = capacity_histogram(&w, &fleet, 2..6);
+    let cap = capacity_histogram(&engine, 2..6);
     assert!(cap.counts.iter().sum::<usize>() > 0);
 
-    let t1 = bandwidth_table(&w, &fleet, 5);
+    let t1 = bandwidth_table(&engine, 5);
     assert!(t1.group_sizes[3] > 0);
 
-    let est = floodfill_estimate(&w, &fleet, 5);
+    let est = floodfill_estimate(&engine, 5);
     assert!(est.observed_floodfills > 0);
 
-    let geo = country_distribution(&w, &fleet, 0..20);
+    let geo = country_distribution(&engine, 0..20);
     assert!(geo.total > 0);
-    let ases = as_distribution(&w, &fleet, 0..20);
+    let ases = as_distribution(&engine, 0..20);
     assert!(ases.total > 0);
 
     let blocking = blocking_matrix(&w, &fleet, 35, &[1, 10], &[1, 5]);
@@ -63,8 +67,9 @@ fn whole_pipeline_is_deterministic() {
     let run = || {
         let w = world();
         let fleet = Fleet::paper_main();
-        let census = daily_census(&w, &fleet, 5);
-        let est = floodfill_estimate(&w, &fleet, 5);
+        let engine = HarvestEngine::build(&w, &fleet, 5..6);
+        let census = daily_census(&engine, 5);
+        let est = floodfill_estimate(&engine, 5);
         let blocking = blocking_matrix(&w, &fleet, 35, &[5], &[1]);
         (census.peers, census.ipv4, est.observed_floodfills, blocking[0].points[0].1.to_bits())
     };
@@ -89,8 +94,9 @@ fn censuses_relate_sanely_across_analyses() {
     let w = world();
     let fleet = Fleet::paper_main();
     let day = 5u64;
-    let census = daily_census(&w, &fleet, day);
-    let t1 = bandwidth_table(&w, &fleet, day);
+    let engine = HarvestEngine::build(&w, &fleet, day..day + 1);
+    let census = daily_census(&engine, day);
+    let t1 = bandwidth_table(&engine, day);
     // Table 1's total group equals the census peer count.
     assert_eq!(t1.group_sizes[3], census.peers);
     // Reachable + unreachable = total.
@@ -98,7 +104,7 @@ fn censuses_relate_sanely_across_analyses() {
     // Unknown-IP peers are a subset of unreachable peers.
     assert!(census.unknown_ip <= t1.group_sizes[2]);
     // Floodfill estimate's observed floodfills never exceed the total.
-    let est = floodfill_estimate(&w, &fleet, day);
+    let est = floodfill_estimate(&engine, day);
     assert!(est.observed_floodfills <= census.peers);
     assert!(est.qualified_floodfills <= est.observed_floodfills);
 }
@@ -106,9 +112,9 @@ fn censuses_relate_sanely_across_analyses() {
 #[test]
 fn geo_totals_dominated_by_peers_but_bounded() {
     let w = world();
-    let fleet = Fleet::paper_main();
-    let geo = country_distribution(&w, &fleet, 0..15);
-    let ip = ip_churn_report(&w, &fleet, 0..15);
+    let engine = HarvestEngine::build(&w, &Fleet::paper_main(), 0..15);
+    let geo = country_distribution(&engine, 0..15);
+    let ip = ip_churn_report(&engine, 0..15);
     // Every known-IP peer contributes at least one (peer, country) and
     // at most its distinct-country count.
     assert!(geo.total >= ip.known_ip_peers - geo.unresolved_addresses.min(ip.known_ip_peers));
@@ -146,11 +152,55 @@ fn seeds_change_everything_but_structure() {
     let a = World::generate(WorldConfig { days: 10, scale: 0.02, seed: 1 });
     let b = World::generate(WorldConfig { days: 10, scale: 0.02, seed: 2 });
     let fleet = Fleet::paper_main();
-    let ca = daily_census(&a, &fleet, 3);
-    let cb = daily_census(&b, &fleet, 3);
+    let ca = daily_census(&HarvestEngine::build(&a, &fleet, 3..4), 3);
+    let cb = daily_census(&HarvestEngine::build(&b, &fleet, 3..4), 3);
     // Different seeds: different exact numbers…
     assert_ne!((ca.peers, ca.ipv4), (cb.peers, cb.ipv4));
     // …same structural facts.
     assert!(ca.all_ips < ca.peers && cb.all_ips < cb.peers);
     assert!(ca.firewalled > ca.hidden && cb.firewalled > cb.hidden);
+}
+
+/// Runs the `i2pscope` binary at test scale with `env` on top, returning
+/// its exit status and stderr.
+fn i2pscope(args: &[&str], env: &[(&str, &str)]) -> (std::process::ExitStatus, String) {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_i2pscope"));
+    cmd.args(args).env("I2PSCOPE_SCALE", "0.01").env("I2PSCOPE_DAYS", "2");
+    for var in ["I2PSCOPE_FLEET", "I2PSCOPE_FAULTS", "I2PSCOPE_TELEMETRY", "I2PSCOPE_TRACE"] {
+        cmd.env_remove(var);
+    }
+    cmd.envs(env.iter().copied());
+    let out = cmd.output().expect("run i2pscope");
+    (out.status, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn a_zero_fleet_flag_is_an_error_naming_the_flag() {
+    let (status, stderr) = i2pscope(&["figures", "--live", "--fleet", "0"], &[]);
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--fleet \"0\" must be at least 1"), "{stderr}");
+}
+
+#[test]
+fn a_zero_days_flag_is_an_error_naming_the_flag() {
+    let out = std::env::temp_dir().join(format!("i2pscope-zero-days-{}.i2ps", std::process::id()));
+    let path = out.to_str().expect("utf-8 temp path");
+    let (status, stderr) = i2pscope(&["harvest", "--out", path, "--days", "0"], &[]);
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--days \"0\" must be at least 1"), "{stderr}");
+    assert!(!out.exists(), "a rejected harvest must write no archive");
+}
+
+#[test]
+fn a_zero_fleet_env_knob_panics_naming_the_variable() {
+    let (status, stderr) = i2pscope(&["figures", "--live"], &[("I2PSCOPE_FLEET", "0")]);
+    assert!(!status.success(), "{stderr}");
+    assert!(stderr.contains("I2PSCOPE_FLEET=0 is not a valid count"), "{stderr}");
+}
+
+#[test]
+fn a_zero_days_env_knob_panics_naming_the_variable() {
+    let (status, stderr) = i2pscope(&["figures", "--live"], &[("I2PSCOPE_DAYS", "0")]);
+    assert!(!status.success(), "{stderr}");
+    assert!(stderr.contains("I2PSCOPE_DAYS=0 is not a valid count"), "{stderr}");
 }
