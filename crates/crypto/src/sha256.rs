@@ -88,14 +88,16 @@ impl Sha256 {
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            // `update` counts padding into `len`, fix below by using the
-            // saved bit_len.
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit
+        // big-endian bit length — one block, or two when fewer than 9
+        // bytes of the buffered block are free.
+        let mut block = [0u8; 64];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        let mut block = self.buf;
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -219,6 +221,28 @@ mod tests {
             h.update(&data);
             let d1 = h.finalize();
             assert_eq!(d1, sha256(&data), "len {n}");
+        }
+    }
+
+    #[test]
+    fn padding_block_matches_the_bytewise_padding() {
+        // The reference pads the message by hand — 0x80, zeros to 56
+        // mod 64, the 64-bit bit length — and feeds it through `update`,
+        // so every length across the one-block/two-block padding edge is
+        // checked against the FIPS 180-4 padding rule itself.
+        for n in 0..200usize {
+            let data: Vec<u8> = (0..n).map(|i| (i * 7 + n) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&((n as u64) * 8).to_be_bytes());
+            let mut reference = Sha256::new();
+            reference.update(&padded);
+            assert_eq!(reference.buf_len, 0);
+            let want: Vec<u8> = reference.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(sha256(&data).to_vec(), want, "len {n}");
         }
     }
 }

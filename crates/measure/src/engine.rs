@@ -170,9 +170,10 @@ impl<'w> HarvestEngine<'w> {
     }
 
     /// [`HarvestEngine::with_vantages_model`] with an explicit fill
-    /// worker count, bypassing the `I2PSCOPE_THREADS` lookup — the
-    /// parity tests use this to pin bit-identity across worker counts
-    /// without racing on process-global environment mutation.
+    /// worker count, bypassing the `I2PSCOPE_THREADS` lookup — the CLI
+    /// fills with its `--threads` knob through it, and the parity tests
+    /// use it to pin bit-identity across worker counts without racing
+    /// on process-global environment mutation.
     pub fn with_vantages_model_threads(
         world: &'w World,
         vantages: Vec<Vantage>,

@@ -16,7 +16,7 @@
 use crate::observed::ObservedRouterInfo;
 use crate::source::{SnapshotDay, SnapshotSource};
 use i2p_geoip::GeoDb;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::ops::Range;
 
 /// One day of a dataset, as the driver hands it to every fold.
@@ -29,6 +29,8 @@ pub struct DayView<'a> {
     geo: &'a GeoDb,
     day: &'a dyn SnapshotDay,
     observations: OnceCell<Vec<ObservedRouterInfo>>,
+    /// The previous day's observation buffer, refilled on first use.
+    spare: Cell<Vec<ObservedRouterInfo>>,
 }
 
 impl DayView<'_> {
@@ -62,7 +64,8 @@ impl DayView<'_> {
     /// day, ascending by peer id — materialized once per day.
     pub fn observations(&self) -> &[ObservedRouterInfo] {
         self.observations.get_or_init(|| {
-            let mut out = Vec::new();
+            let mut out = self.spare.take();
+            out.clear();
             self.day.for_each_observation(&mut |rec| out.push(rec.clone()));
             out
         })
@@ -95,9 +98,18 @@ impl<F: FnMut(u64, &DayView<'_>)> DayFold for F {
 /// members, so they all share the one walk.
 pub fn run<S: SnapshotSource + ?Sized>(src: &S, days: Range<u64>, fold: &mut dyn DayFold) {
     let (vantage_count, geo) = (src.vantage_count(), src.geo());
+    // One observation buffer serves the whole walk.
+    let mut spare = Vec::new();
     src.visit_days(days, &mut |day, handle| {
-        let view = DayView { vantage_count, geo, day: handle, observations: OnceCell::new() };
+        let view = DayView {
+            vantage_count,
+            geo,
+            day: handle,
+            observations: OnceCell::new(),
+            spare: Cell::new(std::mem::take(&mut spare)),
+        };
         fold.day(day, &view);
+        spare = view.observations.into_inner().unwrap_or_else(|| view.spare.take());
     });
 }
 

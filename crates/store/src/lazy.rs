@@ -1,8 +1,8 @@
 //! Lazy, file-backed snapshot replay.
 //!
-//! [`Snapshot::read_from`](crate::Snapshot::read_from) materializes the
-//! whole archive — every observation row, RouterInfo wire record and
-//! sighting lane of every day — before the first figure is computed. At
+//! [`Snapshot::read_from`](crate::Snapshot::read_from) holds the whole
+//! archive — every day's segment bytes and sighting lanes — before the
+//! first figure is computed. At
 //! million-router scale that is the dominant peak allocation of the
 //! replay pipeline, and almost all of it is dead weight: a figure query
 //! touches one day at a time.
@@ -13,10 +13,13 @@
 //! structure and day sequence as it goes), and verifies the whole-file
 //! trailer checksum through the streaming [`format::Hasher`] in
 //! O(chunk) memory. Day segments are then seeked, checksummed and
-//! decoded on demand, one per visited day, and dropped as soon as that
+//! indexed on demand, one per visited day, and dropped as soon as that
 //! day's visit returns — so peak memory is O(largest day), not
 //! O(archive), and replayed figures remain byte-identical to the eager
-//! loader's (pinned by `tests/scale_parity.rs`).
+//! loader's (pinned by `tests/scale_parity.rs`). Indexing validates a
+//! segment's rows and decodes only its row ids and sighting lanes; the
+//! body stays as read, and observation rows are decoded from it when a
+//! visitor asks for them.
 //!
 //! There is no segment cache. Every reader walks the archive through
 //! [`SnapshotSource::visit_days`] — the only way to query a day — which
@@ -25,8 +28,9 @@
 //! load is ledgered by the `segments_lazy_loaded` counter and by the
 //! reader's own [`LazySnapshot::segment_loads`].
 
-use crate::format::{checksum, Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
-use crate::snapshot::{verify_segment_router_infos, DaySegment, SegmentDay};
+use crate::format::{Hasher, CHECKSUM_LEN, MAGIC, SEGMENT_TAG, TRAILER_TAG};
+use crate::snapshot::{verify_segment_router_infos, SegmentDay};
+use crate::wire::DaySegment;
 use crate::{SnapshotMeta, StoreError};
 use i2p_data::codec::Reader;
 use i2p_geoip::GeoDb;
@@ -172,21 +176,20 @@ impl LazySnapshot {
         self.loads.get()
     }
 
-    /// Seeks, checksums and decodes one day segment. Each call is a
-    /// `segments_lazy_loaded` event.
-    fn load_segment(&self, di: usize) -> Result<DaySegment, StoreError> {
+    /// Reads one day segment's stored element (body and checksum) into
+    /// `wire` — a buffer the previous load handed back, so a walk
+    /// reuses one allocation — then checksums, validates and indexes it
+    /// in place. Each call is a `segments_lazy_loaded` event.
+    fn load_segment(&self, di: usize, mut wire: Vec<u8>) -> Result<DaySegment, StoreError> {
         let loc = &self.segments[di];
-        let mut buf = vec![0u8; loc.body_len + CHECKSUM_LEN];
+        wire.clear();
+        wire.resize(loc.body_len + CHECKSUM_LEN, 0);
         {
             let mut file = self.file.borrow_mut();
             file.seek(SeekFrom::Start(loc.body_offset))?;
-            file.read_exact(&mut buf)?;
+            file.read_exact(&mut wire)?;
         }
-        let (body, sum) = buf.split_at(loc.body_len);
-        if checksum(body) != sum {
-            return Err(StoreError::Corrupt { what: "segment checksum" });
-        }
-        let seg = crate::wire::decode_segment(body, self.meta.vantages.len())?;
+        let seg = DaySegment::index(wire, self.meta.vantages.len())?;
         self.loads.set(self.loads.get() + 1);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsLazyLoaded);
         i2p_telemetry::count_one(i2p_telemetry::Counter::SegmentsDecoded);
@@ -199,10 +202,11 @@ impl LazySnapshot {
     /// one segment.
     pub fn verify_router_infos(&self) -> Result<usize, StoreError> {
         let _span = i2p_telemetry::span("store.verify");
-        let mut verified = 0usize;
+        let (mut verified, mut wire) = (0usize, Vec::new());
         for di in 0..self.segments.len() {
-            let seg = self.load_segment(di)?;
+            let seg = self.load_segment(di, wire)?;
             verified += verify_segment_router_infos(&seg)?;
+            wire = seg.wire;
         }
         i2p_telemetry::count(i2p_telemetry::Counter::RecordsVerified, verified as u64);
         Ok(verified)
@@ -232,7 +236,8 @@ impl SnapshotSource for LazySnapshot {
     }
 
     /// Loads each day's segment once, hands it out, and drops it before
-    /// loading the next: a walk holds one day at a time.
+    /// loading the next: a walk holds one day at a time, and reads each
+    /// day into the previous day's buffer.
     ///
     /// The walk has no error channel, and the archive was fully
     /// checksummed at open, so a load failure means the file was
@@ -240,12 +245,14 @@ impl SnapshotSource for LazySnapshot {
     /// rather than return figures off a file that is no longer the one
     /// that was opened.
     fn visit_days(&self, days: Range<u64>, f: &mut dyn FnMut(u64, &dyn SnapshotDay)) {
+        let mut wire = Vec::new();
         for day in days {
             let di = self.di(day);
-            let seg = self.load_segment(di).unwrap_or_else(|e| {
+            let seg = self.load_segment(di, wire).unwrap_or_else(|e| {
                 panic!("lazy snapshot: day segment {di} unreadable after a verified open: {e}") // i2plint: allow(panic-audit) -- the file verified at open; losing it mid-replay is unrecoverable external interference
             });
             f(day, &SegmentDay(&seg));
+            wire = seg.wire;
         }
     }
 }

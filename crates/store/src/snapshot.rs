@@ -1,6 +1,7 @@
 //! The in-memory snapshot model: capture from a live engine, replay
 //! through [`SnapshotSource`].
 
+use crate::wire::{DaySegment, Image};
 use crate::{RecoveryReport, StoreError};
 use i2p_crypto::DetRng;
 use i2p_faults::FaultPlane;
@@ -11,6 +12,7 @@ use i2p_measure::engine::HarvestEngine;
 use i2p_measure::fleet::{Vantage, VantageMode};
 use i2p_measure::observed::ObservedRouterInfo;
 use i2p_measure::source::{SnapshotDay, SnapshotSource};
+use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::Path;
 
@@ -19,6 +21,9 @@ const IDENT_SALT: u64 = 0x5704_E51D_0A7C_11E5;
 
 /// Router software version stamped into archived RouterInfo records.
 const ARCHIVE_VERSION: &str = "0.9.34";
+
+/// Read size of the writer's streamed temp-file readback.
+const READBACK_CHUNK: usize = 1 << 22;
 
 /// Snapshot-level metadata: enough to regenerate the producing world
 /// and fleet, and to label the archive.
@@ -40,22 +45,6 @@ pub struct SnapshotMeta {
     pub n_days: u32,
 }
 
-/// One archived day: the observed-router table (rows ascending by peer
-/// id — the union of every vantage's sightings) plus per-vantage
-/// sighting bitsets over the row positions.
-pub(crate) struct DaySegment {
-    /// Absolute study day.
-    pub day: u64,
-    /// One observation per union row.
-    pub observations: Vec<ObservedRouterInfo>,
-    /// The matching `RouterInfo::encode` wire records.
-    pub router_infos: Vec<Vec<u8>>,
-    /// Per-vantage bitsets: bit `i` set iff the vantage saw row `i`.
-    pub lanes: Vec<Vec<u64>>,
-    /// Words per lane (`rows / 64`, rounded up).
-    pub words: usize,
-}
-
 /// A loaded or freshly captured harvest snapshot.
 ///
 /// Implements [`SnapshotSource`], so every figure function in
@@ -72,6 +61,11 @@ impl Snapshot {
     /// Archives a filled engine: every (vantage, day) sighting set and
     /// every observation record in its day range, plus a signed
     /// RouterInfo wire record per sighting row.
+    ///
+    /// Each day is encoded once, here, into its segment's wire body;
+    /// the day's observation rows and RouterInfo records are dropped as
+    /// soon as they are written, so the snapshot holds about one
+    /// archive's worth of bytes.
     pub fn capture(engine: &HarvestEngine<'_>) -> Snapshot {
         let _span = i2p_telemetry::span("store.capture");
         let world = engine.world();
@@ -90,13 +84,10 @@ impl Snapshot {
         let mut idents: FxHashMap<u32, (RouterIdentity, i2p_data::ident::IdentitySecrets)> =
             FxHashMap::default();
         let mut days = Vec::with_capacity(meta.n_days as usize);
+        let mut observations = Vec::new();
         for day in span {
-            let mut observations = Vec::new();
+            observations.clear();
             engine.for_each_observation(day, vantages.len(), |rec| observations.push(rec));
-            let router_infos: Vec<Vec<u8>> = observations
-                .iter()
-                .map(|obs| archive_router_info(obs, &mut idents).encode())
-                .collect();
             let words = observations.len().div_ceil(64);
             let lanes: Vec<Vec<u64>> = (0..vantages.len())
                 .map(|v| {
@@ -113,8 +104,11 @@ impl Snapshot {
                     lane
                 })
                 .collect();
-            days.push(DaySegment { day, observations, router_infos, lanes, words });
+            days.push(DaySegment::encode(day, &observations, lanes, |obs| {
+                archive_router_info(obs, &mut idents).encode()
+            }));
         }
+        i2p_telemetry::count(i2p_telemetry::Counter::SegmentsEncoded, days.len() as u64);
         Snapshot { meta, days, geo: GeoDb::new() }
     }
 
@@ -130,18 +124,24 @@ impl Snapshot {
 
     /// Total observation rows across all days.
     pub fn total_rows(&self) -> usize {
-        self.days.iter().map(|d| d.observations.len()).sum()
+        self.days.iter().map(|d| d.ids.len()).sum()
     }
 
     /// Serializes to the versioned, checksummed wire format. Fails with
     /// [`StoreError::TooLarge`] if any region outgrows its length field
     /// (e.g. a vantage fleet beyond `u16`) — never by silently
     /// truncating a length.
+    ///
+    /// The day segments are already encoded, so this is the prelude,
+    /// a copy of each stored segment and the trailer: no segment is
+    /// encoded again.
     pub fn to_bytes(&self) -> Result<Vec<u8>, StoreError> {
         let _span = i2p_telemetry::span("store.encode");
-        let bytes = crate::wire::encode(self)?;
-        i2p_telemetry::count(i2p_telemetry::Counter::SegmentsEncoded, self.days.len() as u64);
-        i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesWritten, bytes.len() as u64);
+        let image = Image::new(self)?;
+        let mut bytes = Vec::with_capacity(image.len());
+        for piece in image.pieces() {
+            bytes.extend_from_slice(piece);
+        }
         Ok(bytes)
     }
 
@@ -176,15 +176,20 @@ impl Snapshot {
     /// the `.tmp` sibling, which the next successful write overwrites.
     /// The read-back before the rename is the checksum-before-publish
     /// gate: a temp file that does not verify is never renamed in.
+    ///
+    /// The bytes are streamed from the stored segments (the same bytes
+    /// [`Snapshot::to_bytes`] returns, never materialized as one
+    /// buffer), and the readback compares the temp file with them byte
+    /// for byte in fixed-size chunks, so the write costs O(chunk)
+    /// memory on top of the snapshot.
     pub fn write_to_with(
         &self,
         path: impl AsRef<Path>,
         faults: &FaultPlane,
     ) -> Result<(), StoreError> {
-        use std::io::Write as _;
         let _span = i2p_telemetry::span("store.write");
         let path = path.as_ref();
-        let bytes = self.to_bytes()?;
+        let image = Image::new(self)?;
         let tmp = tmp_path(path);
         let crash = |point: u32| -> Result<(), StoreError> {
             if faults.io_crash_at(point) {
@@ -195,27 +200,25 @@ impl Snapshot {
         };
         let mut f = std::fs::File::create(&tmp)?;
         crash(1)?;
-        let half = bytes.len() / 2;
-        f.write_all(&bytes[..half])?;
-        crash(2)?;
-        f.write_all(&bytes[half..])?;
+        // Point 2 fires with exactly the first half of the bytes on disk.
+        let half = image.len() / 2;
+        let (mut written, mut halfway) = (0usize, false);
+        for piece in image.pieces() {
+            let (head, tail) = piece.split_at(half.saturating_sub(written).min(piece.len()));
+            for part in [head, tail] {
+                if !halfway && written == half {
+                    halfway = true;
+                    crash(2)?;
+                }
+                f.write_all(part)?;
+                written += part.len();
+                i2p_telemetry::count(i2p_telemetry::Counter::StoreBytesWritten, part.len() as u64);
+            }
+        }
         crash(3)?;
         f.sync_all()?;
         drop(f);
-        if std::fs::read(&tmp)? != bytes {
-            return Err(StoreError::Corrupt { what: "temp file readback" });
-        }
-        crash(4)?;
-        std::fs::rename(&tmp, path)?;
-        crash(5)?;
-        // Make the rename itself durable (best effort — not every
-        // platform lets a directory be opened and synced).
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        publish(&image, &tmp, path, &crash)
     }
 
     /// Reads and validates a snapshot from `path`.
@@ -349,12 +352,22 @@ impl SnapshotDay for SegmentDay<'_> {
 
     fn for_each_union_id(&self, f: &mut dyn FnMut(u32)) {
         let seg = self.0;
-        for_each_union_row(seg, &mut |row| f(seg.observations[row].peer_id));
+        for_each_union_row(seg, &mut |row| f(seg.ids[row]));
     }
 
+    /// Decodes the rows off the segment body in one pass, handing out
+    /// those in the union of the lanes.
     fn for_each_observation(&self, f: &mut dyn FnMut(&ObservedRouterInfo)) {
         let seg = self.0;
-        for_each_union_row(seg, &mut |row| f(&seg.observations[row]));
+        let mut union = 0u64;
+        for (row, (obs, _)) in seg.rows().enumerate() {
+            if row % 64 == 0 {
+                union = seg.lanes.iter().fold(0, |acc, lane| acc | lane[row / 64]);
+            }
+            if union >> (row % 64) & 1 == 1 {
+                f(&obs);
+            }
+        }
     }
 }
 
@@ -364,7 +377,7 @@ impl SnapshotDay for SegmentDay<'_> {
 /// [`crate::LazySnapshot::verify_router_infos`] are built from.
 pub(crate) fn verify_segment_router_infos(seg: &DaySegment) -> Result<usize, StoreError> {
     let mut verified = 0usize;
-    for (obs, bytes) in seg.observations.iter().zip(&seg.router_infos) {
+    for (obs, bytes) in seg.rows() {
         let ri = RouterInfo::decode(bytes)?;
         if !ri.verify() {
             return Err(StoreError::Corrupt { what: "routerinfo signature" });
@@ -450,6 +463,55 @@ fn archive_router_info(
         caps,
         ARCHIVE_VERSION,
     )
+}
+
+/// The pre-rename half of [`Snapshot::write_to_with`]: the readback
+/// gate over the fsynced temp file, crash point 4, the rename, crash
+/// point 5, and the directory sync.
+fn publish(
+    image: &Image<'_>,
+    tmp: &Path,
+    path: &Path,
+    crash: &dyn Fn(u32) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    if !file_holds(tmp, image, READBACK_CHUNK)? {
+        return Err(StoreError::Corrupt { what: "temp file readback" });
+    }
+    crash(4)?;
+    std::fs::rename(tmp, path)?;
+    crash(5)?;
+    // Make the rename itself durable (best effort — not every
+    // platform lets a directory be opened and synced).
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = std::fs::File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// Whether the file at `path` holds exactly `image`'s bytes — no byte
+/// different, missing or extra — compared in reads of at most `chunk`
+/// bytes, so the check costs O(chunk) memory whatever the archive size.
+fn file_holds(path: &Path, image: &Image<'_>, chunk: usize) -> Result<bool, StoreError> {
+    let mut f = std::fs::File::open(path)?;
+    if f.metadata()?.len() != image.len() as u64 {
+        return Ok(false);
+    }
+    let mut buf = vec![0u8; chunk.min(image.len())];
+    for piece in image.pieces() {
+        for want in piece.chunks(chunk) {
+            let got = &mut buf[..want.len()];
+            match f.read_exact(got) {
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
+                read => read?,
+            }
+            if got != want {
+                return Ok(false);
+            }
+        }
+    }
+    Ok(f.read(&mut [0u8; 1])? == 0)
 }
 
 /// The sibling temp path the atomic writer stages into.
@@ -593,8 +655,9 @@ mod tests {
         assert_eq!(back.total_rows(), snap.total_rows());
         for (a, b) in snap.days.iter().zip(&back.days) {
             assert_eq!(a.day, b.day);
-            assert_eq!(a.observations, b.observations);
-            assert_eq!(a.router_infos, b.router_infos);
+            assert_eq!(a.wire, b.wire);
+            assert_eq!(a.ids, b.ids);
+            assert!(a.rows().eq(b.rows()));
             assert_eq!(a.lanes, b.lanes);
         }
         // Serialization is deterministic.
@@ -666,6 +729,50 @@ mod tests {
         // And a clean retry after any crash completes normally.
         new.write_to(path).expect("retry succeeds");
         assert_eq!(Snapshot::read_from(path).expect("reload").total_rows(), new.total_rows());
+    }
+
+    #[test]
+    fn readback_gate_refuses_a_temp_file_that_is_not_the_snapshot() {
+        let (world, fleet) = tiny();
+        let old = Snapshot::capture(&HarvestEngine::build(&world, &fleet, 0..2));
+        let new = Snapshot::capture(&HarvestEngine::build(&world, &fleet, 0..4));
+        let scratch = Scratch::new("readback-gate");
+        let path = &scratch.0;
+        old.write_to(path).expect("seed write");
+        let old_bytes = std::fs::read(path).expect("previous content");
+        let image = Image::new(&new).expect("layout");
+        let good = new.to_bytes().expect("encode");
+        assert_eq!(image.len(), good.len());
+        let tmp = tmp_path(path);
+        let mut staged = Vec::new();
+        for pos in [0, good.len() / 3, good.len() / 2, good.len() - 1] {
+            let mut flipped = good.clone();
+            flipped[pos] ^= 0x01;
+            staged.push((format!("flip at {pos}"), flipped));
+        }
+        staged.push(("truncated".to_string(), good[..good.len() - 1].to_vec()));
+        staged.push(("extended".to_string(), [&good[..], &[0]].concat()));
+        let no_crash = |_: u32| Ok(());
+        for (what, bytes) in &staged {
+            std::fs::write(&tmp, bytes).expect("stage");
+            // The chunked compare finds the damage at any read size,
+            // including ones that split the pieces at odd offsets.
+            for chunk in [1, 7, 64, READBACK_CHUNK] {
+                assert!(!file_holds(&tmp, &image, chunk).expect("readback"), "{what}, chunk {chunk}");
+            }
+            match publish(&image, &tmp, path, &no_crash) {
+                Err(StoreError::Corrupt { what: "temp file readback" }) => {}
+                other => panic!("{what}: the readback gate let the temp file through: {other:?}"),
+            }
+            assert_eq!(std::fs::read(path).expect("destination"), old_bytes, "{what}");
+        }
+        // The faithful temp file passes at every read size and publishes.
+        std::fs::write(&tmp, &good).expect("stage");
+        for chunk in [1, 7, 64, READBACK_CHUNK] {
+            assert!(file_holds(&tmp, &image, chunk).expect("readback"), "chunk {chunk}");
+        }
+        publish(&image, &tmp, path, &no_crash).expect("publish");
+        assert_eq!(std::fs::read(path).expect("destination"), good);
     }
 
     #[test]

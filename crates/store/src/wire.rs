@@ -1,12 +1,18 @@
 //! Snapshot wire encode/decode (layout in `format.rs` / DESIGN.md §7).
+//!
+//! A day segment's in-memory form is its stored wire element
+//! ([`DaySegment`]): capture encodes each day once, the readers
+//! validate and index the bytes they load, and serializing a snapshot
+//! ([`Image`]) lays those elements out between a prelude and a trailer
+//! without encoding anything again.
 
 use crate::format::{
-    checksum, CHECKSUM_LEN, FLAG_INTRODUCERS, FLAG_IPV4, FLAG_IPV6, FLAG_MASK, MAGIC,
+    checksum, Hasher, CHECKSUM_LEN, FLAG_INTRODUCERS, FLAG_IPV4, FLAG_IPV6, FLAG_MASK, MAGIC,
     SEGMENT_TAG, TRAILER_TAG, VERSION,
 };
-use crate::snapshot::{mode_from_tag, mode_tag, DaySegment, Snapshot, SnapshotMeta};
+use crate::snapshot::{mode_from_tag, mode_tag, Snapshot, SnapshotMeta};
 use crate::StoreError;
-use i2p_data::codec::{Reader, Writer};
+use i2p_data::codec::{DecodeError, Reader, Writer};
 use i2p_data::{Caps, CapsString, Hash256, PeerIp};
 use i2p_measure::fleet::Vantage;
 use i2p_measure::observed::ObservedRouterInfo;
@@ -23,32 +29,79 @@ fn len_u16(len: usize, region: &'static str) -> Result<u16, StoreError> {
     u16::try_from(len).map_err(|_| StoreError::TooLarge { region, len })
 }
 
-pub(crate) fn encode(snap: &Snapshot) -> Result<Vec<u8>, StoreError> {
+/// The archive's byte stream, laid out over the snapshot's stored
+/// segments: the encoded prelude, then per day a 5-byte tag-and-length
+/// head followed by the segment's stored wire element (body and
+/// checksum, borrowed, not copied), then the trailer. The trailer's
+/// whole-file checksum is computed once, through the streaming
+/// [`Hasher`], when the image is laid out.
+pub(crate) struct Image<'a> {
+    prelude: Vec<u8>,
+    heads: Vec<[u8; 5]>,
+    segments: &'a [DaySegment],
+    trailer: [u8; 1 + CHECKSUM_LEN],
+}
+
+impl<'a> Image<'a> {
+    /// Lays out `snap`'s archive. Fails with [`StoreError::TooLarge`]
+    /// if a region outgrows its length field.
+    pub(crate) fn new(snap: &'a Snapshot) -> Result<Image<'a>, StoreError> {
+        let mut image = Image {
+            prelude: encode_prelude(snap.meta())?,
+            heads: snap
+                .days
+                .iter()
+                .map(|seg| {
+                    let len = len_u32(seg.body().len(), "snapshot.segment-len")?;
+                    let mut head = [SEGMENT_TAG; 5];
+                    head[1..].copy_from_slice(&len.to_be_bytes());
+                    Ok(head)
+                })
+                .collect::<Result<_, StoreError>>()?,
+            segments: &snap.days,
+            trailer: [TRAILER_TAG; 1 + CHECKSUM_LEN],
+        };
+        let mut hasher = Hasher::new(image.len() - image.trailer.len());
+        for piece in image.covered() {
+            hasher.update(piece);
+        }
+        image.trailer[1..].copy_from_slice(&hasher.finish());
+        Ok(image)
+    }
+
+    /// Total archive length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.prelude.len()
+            + self.segments.iter().map(|seg| 5 + seg.wire.len()).sum::<usize>()
+            + self.trailer.len()
+    }
+
+    /// The archive's bytes, in file order, as borrowed pieces.
+    pub(crate) fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        self.covered().chain(std::iter::once(&self.trailer[..]))
+    }
+
+    /// Every piece before the trailer: what its checksum covers.
+    fn covered(&self) -> impl Iterator<Item = &[u8]> {
+        let segments = self
+            .heads
+            .iter()
+            .zip(self.segments)
+            .flat_map(|(head, seg)| [&head[..], &seg.wire[..]]);
+        std::iter::once(&self.prelude[..]).chain(segments)
+    }
+}
+
+/// Magic, version and the checksummed header.
+fn encode_prelude(meta: &SnapshotMeta) -> Result<Vec<u8>, StoreError> {
     let mut w = Writer::new();
     w.bytes(&MAGIC);
     w.u16(VERSION);
-
-    // Header: world + fleet metadata, independently checksummed.
-    let header = encode_header(snap.meta())?;
+    let header = encode_header(meta)?;
     w.u32(len_u32(header.len(), "snapshot.header-len")?);
     w.bytes(&header);
     w.bytes(&checksum(&header));
-
-    // One segment per harvested day.
-    for seg in &snap.days {
-        let body = encode_segment(seg);
-        w.u8(SEGMENT_TAG);
-        w.u32(len_u32(body.len(), "snapshot.segment-len")?);
-        w.bytes(&body);
-        w.bytes(&checksum(&body));
-    }
-
-    // Trailer: whole-file checksum over everything before the tag.
-    let mut out = w.into_bytes();
-    let file_sum = checksum(&out);
-    out.push(TRAILER_TAG);
-    out.extend_from_slice(&file_sum);
-    Ok(out)
+    Ok(w.into_bytes())
 }
 
 fn encode_header(meta: &SnapshotMeta) -> Result<Vec<u8>, StoreError> {
@@ -68,53 +121,209 @@ fn encode_header(meta: &SnapshotMeta) -> Result<Vec<u8>, StoreError> {
     Ok(w.into_bytes())
 }
 
-fn encode_segment(seg: &DaySegment) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(seg.day);
-    // The observed-router table, ascending by peer id: delta-varint ids,
-    // the peer hash, the exact observed caps letters, address fields,
-    // and the full RouterInfo wire record.
-    w.varint(seg.observations.len() as u64);
-    let mut prev_id = 0u32;
-    for (i, (obs, ri)) in seg.observations.iter().zip(&seg.router_infos).enumerate() {
-        let delta = if i == 0 { obs.peer_id as u64 } else { (obs.peer_id - prev_id) as u64 };
-        w.varint(delta);
-        prev_id = obs.peer_id;
-        w.bytes(&obs.hash.0);
-        w.string(&obs.caps);
-        let mut flags = 0u8;
-        if obs.ipv4.is_some() {
-            flags |= FLAG_IPV4;
-        }
-        if obs.ipv6.is_some() {
-            flags |= FLAG_IPV6;
-        }
-        if obs.has_introducers {
-            flags |= FLAG_INTRODUCERS;
-        }
-        w.u8(flags);
-        if let Some(ip) = obs.ipv4 {
-            encode_ip(&mut w, ip);
-        }
-        if let Some(ip) = obs.ipv6 {
-            encode_ip(&mut w, ip);
-        }
-        w.varint(ri.len() as u64);
-        w.bytes(ri);
-    }
-    // Per-vantage sighting sets as strictly-ascending position runs.
-    for lane in &seg.lanes {
-        let mut positions = Vec::new();
-        for (j, &word) in lane.iter().enumerate() {
-            let mut wrd = word;
-            while wrd != 0 {
-                positions.push((j * 64 + wrd.trailing_zeros() as usize) as u32);
-                wrd &= wrd - 1;
+/// One archived day, held in its wire form: the segment body exactly
+/// as the file stores it, followed by its checksum. The body holds the
+/// observed-router table (rows ascending by peer id — the union of
+/// every vantage's sightings), each row carrying its full signed
+/// RouterInfo wire record, then the per-vantage sighting runs.
+///
+/// Beside the bytes the segment keeps only what the day queries need
+/// at word speed: the row peer ids and the sighting lanes. Observation
+/// rows and RouterInfo records are decoded on the fly by
+/// [`DaySegment::rows`].
+pub(crate) struct DaySegment {
+    /// Absolute study day.
+    pub day: u64,
+    /// The stored element: body, then `checksum(body)`.
+    pub wire: Vec<u8>,
+    /// Peer id of each row, ascending.
+    pub ids: Vec<u32>,
+    /// Per-vantage bitsets: bit `i` set iff the vantage saw row `i`.
+    pub lanes: Vec<Vec<u64>>,
+    /// Words per lane (`rows / 64`, rounded up).
+    pub words: usize,
+}
+
+impl DaySegment {
+    /// Encodes one captured day — the only encode a segment ever gets.
+    /// `router_info` yields each row's signed RouterInfo wire record,
+    /// which goes straight into the body and is dropped.
+    pub(crate) fn encode(
+        day: u64,
+        observations: &[ObservedRouterInfo],
+        lanes: Vec<Vec<u64>>,
+        mut router_info: impl FnMut(&ObservedRouterInfo) -> Vec<u8>,
+    ) -> DaySegment {
+        let mut w = Writer::new();
+        w.u64(day);
+        // The observed-router table, ascending by peer id: delta-varint
+        // ids, the peer hash, the exact observed caps letters, address
+        // fields, and the full RouterInfo wire record.
+        w.varint(observations.len() as u64);
+        let mut prev_id = 0u32;
+        for (i, obs) in observations.iter().enumerate() {
+            let delta = if i == 0 { obs.peer_id as u64 } else { (obs.peer_id - prev_id) as u64 };
+            w.varint(delta);
+            prev_id = obs.peer_id;
+            w.bytes(&obs.hash.0);
+            w.string(&obs.caps);
+            let mut flags = 0u8;
+            if obs.ipv4.is_some() {
+                flags |= FLAG_IPV4;
             }
+            if obs.ipv6.is_some() {
+                flags |= FLAG_IPV6;
+            }
+            if obs.has_introducers {
+                flags |= FLAG_INTRODUCERS;
+            }
+            w.u8(flags);
+            if let Some(ip) = obs.ipv4 {
+                encode_ip(&mut w, ip);
+            }
+            if let Some(ip) = obs.ipv6 {
+                encode_ip(&mut w, ip);
+            }
+            let ri = router_info(obs);
+            w.varint(ri.len() as u64);
+            w.bytes(&ri);
         }
-        w.id_run(&positions);
+        // Per-vantage sighting sets as strictly-ascending position runs.
+        let mut positions = Vec::new();
+        for lane in &lanes {
+            positions.clear();
+            for (j, &word) in lane.iter().enumerate() {
+                let mut wrd = word;
+                while wrd != 0 {
+                    positions.push((j * 64 + wrd.trailing_zeros() as usize) as u32);
+                    wrd &= wrd - 1;
+                }
+            }
+            w.id_run(&positions);
+        }
+        let mut wire = w.into_bytes();
+        let sum = checksum(&wire);
+        wire.extend_from_slice(&sum);
+        wire.shrink_to_fit();
+        DaySegment {
+            day,
+            wire,
+            ids: observations.iter().map(|obs| obs.peer_id).collect(),
+            words: observations.len().div_ceil(64),
+            lanes,
+        }
     }
-    w.into_bytes()
+
+    /// Validates and indexes a stored element read back from a file:
+    /// the segment checksum, then every row and lane check of the
+    /// strict decoder. The bytes are kept as they are; only the row ids
+    /// and the lanes are decoded.
+    pub(crate) fn index(wire: Vec<u8>, n_vantages: usize) -> Result<DaySegment, StoreError> {
+        let Some(body_len) = wire.len().checked_sub(CHECKSUM_LEN) else {
+            return Err(StoreError::Corrupt { what: "segment length" });
+        };
+        let (body, sum) = wire.split_at(body_len);
+        if checksum(body) != sum {
+            return Err(StoreError::Corrupt { what: "segment checksum" });
+        }
+        let mut r = Reader::new(body);
+        let day = r.u64("segment.day")?;
+        let n_rows = r.varint("segment.row-count")? as usize;
+        if n_rows > r.remaining() {
+            // Every row costs well over one byte; bail before allocating.
+            return Err(StoreError::Corrupt { what: "row count" });
+        }
+        let mut ids = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            let (obs, _) = read_row(&mut r, ids.last().copied(), day)?;
+            ids.push(obs.peer_id);
+        }
+        let words = n_rows.div_ceil(64);
+        let mut lanes = Vec::with_capacity(n_vantages);
+        for _ in 0..n_vantages {
+            let positions = r.id_run("segment.lane")?;
+            let mut lane = vec![0u64; words];
+            for pos in positions {
+                let pos = pos as usize;
+                if pos >= n_rows {
+                    return Err(StoreError::Corrupt { what: "lane position" });
+                }
+                lane[pos / 64] |= 1u64 << (pos % 64);
+            }
+            lanes.push(lane);
+        }
+        if !r.is_empty() {
+            return Err(StoreError::Corrupt { what: "segment trailing bytes" });
+        }
+        Ok(DaySegment { day, wire, ids, lanes, words })
+    }
+
+    /// The segment body: the stored element without its checksum.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.wire[..self.wire.len() - CHECKSUM_LEN]
+    }
+
+    /// Every row in order, decoded on the fly: the observation and the
+    /// row's RouterInfo wire record (borrowed from the body).
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (ObservedRouterInfo, &[u8])> + '_ {
+        // Every segment passed each row check when it was encoded or
+        // indexed, and its bytes are immutable since.
+        let mut r = Reader::new(self.body());
+        r.u64("segment.day")
+            .and_then(|_| r.varint("segment.row-count"))
+            .expect("validated segment head"); // i2plint: allow(panic-audit) -- the segment was validated when encoded or indexed
+        let mut prev = None;
+        (0..self.ids.len()).map(move |_| {
+            let row = read_row(&mut r, prev, self.day).expect("validated segment row"); // i2plint: allow(panic-audit) -- the segment was validated when encoded or indexed
+            prev = Some(row.0.peer_id);
+            row
+        })
+    }
+}
+
+/// Reads one observed-router row after the row `prev` (`None` for the
+/// first), applying every row check of the strict decoder.
+fn read_row<'a>(
+    r: &mut Reader<'a>,
+    prev: Option<u32>,
+    day: u64,
+) -> Result<(ObservedRouterInfo, &'a [u8]), StoreError> {
+    let delta = r.varint("row.id-delta")?;
+    if (prev.is_some() && delta == 0) || delta > u32::MAX as u64 {
+        return Err(StoreError::Corrupt { what: "row id order" });
+    }
+    let peer_id = prev.map_or(0, u64::from) + delta;
+    let Ok(peer_id) = u32::try_from(peer_id) else {
+        return Err(StoreError::Corrupt { what: "row id range" });
+    };
+    let hash = Hash256(r.array32("row.hash")?);
+    let caps_len = r.u8("row.caps")? as usize;
+    let caps_str = std::str::from_utf8(r.bytes(caps_len, "row.caps")?)
+        .map_err(|_| DecodeError::Invalid { what: "row.caps" })?;
+    if caps_str.len() > CapsString::CAPACITY || !caps_str.is_ascii() {
+        return Err(StoreError::Corrupt { what: "row caps length" });
+    }
+    if Caps::parse(caps_str).is_err() {
+        return Err(StoreError::Corrupt { what: "row caps letters" });
+    }
+    let flags = r.u8("row.flags")?;
+    if flags & !FLAG_MASK != 0 {
+        return Err(StoreError::Corrupt { what: "row flags" });
+    }
+    let ipv4 = if flags & FLAG_IPV4 != 0 { Some(decode_ip(r, "row.ipv4")?) } else { None };
+    let ipv6 = if flags & FLAG_IPV6 != 0 { Some(decode_ip(r, "row.ipv6")?) } else { None };
+    let ri_len = r.varint("row.routerinfo-len")? as usize;
+    let ri = r.bytes(ri_len, "row.routerinfo")?;
+    let obs = ObservedRouterInfo {
+        hash,
+        peer_id,
+        caps: CapsString::from(caps_str),
+        ipv4,
+        ipv6,
+        has_introducers: flags & FLAG_INTRODUCERS != 0,
+        day,
+    };
+    Ok((obs, ri))
 }
 
 fn encode_ip(w: &mut Writer, ip: PeerIp) {
@@ -182,10 +391,11 @@ fn read_element(
         SEGMENT_TAG => {
             let body_len = r.u32("snapshot.segment-len")? as usize;
             let body = r.bytes(body_len, "snapshot.segment")?;
-            if r.bytes(CHECKSUM_LEN, "snapshot.segment-checksum")? != checksum(body).as_slice() {
-                return Err(StoreError::Corrupt { what: "segment checksum" });
-            }
-            Ok(Element::Segment(decode_segment(body, n_vantages)?))
+            let sum = r.bytes(CHECKSUM_LEN, "snapshot.segment-checksum")?;
+            let mut wire = Vec::with_capacity(body.len() + sum.len());
+            wire.extend_from_slice(body);
+            wire.extend_from_slice(sum);
+            Ok(Element::Segment(DaySegment::index(wire, n_vantages)?))
         }
         TRAILER_TAG => {
             // Position bookkeeping: the checksum covers everything
@@ -333,76 +543,6 @@ fn decode_header(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
         day_start,
         n_days,
     })
-}
-
-pub(crate) fn decode_segment(bytes: &[u8], n_vantages: usize) -> Result<DaySegment, StoreError> {
-    let mut r = Reader::new(bytes);
-    let day = r.u64("segment.day")?;
-    let n_rows = r.varint("segment.row-count")? as usize;
-    if n_rows > r.remaining() {
-        // Every row costs well over one byte; bail before allocating.
-        return Err(StoreError::Corrupt { what: "row count" });
-    }
-    let mut observations = Vec::with_capacity(n_rows);
-    let mut router_infos = Vec::with_capacity(n_rows);
-    let mut prev_id = 0u64;
-    for i in 0..n_rows {
-        let delta = r.varint("row.id-delta")?;
-        if (i > 0 && delta == 0) || delta > u32::MAX as u64 {
-            return Err(StoreError::Corrupt { what: "row id order" });
-        }
-        let peer_id = if i == 0 { delta } else { prev_id + delta };
-        if peer_id > u32::MAX as u64 {
-            return Err(StoreError::Corrupt { what: "row id range" });
-        }
-        prev_id = peer_id;
-        let hash = Hash256(r.array32("row.hash")?);
-        let caps_str = r.string("row.caps")?;
-        if caps_str.len() > CapsString::CAPACITY || !caps_str.is_ascii() {
-            return Err(StoreError::Corrupt { what: "row caps length" });
-        }
-        if Caps::parse(&caps_str).is_err() {
-            return Err(StoreError::Corrupt { what: "row caps letters" });
-        }
-        let flags = r.u8("row.flags")?;
-        if flags & !FLAG_MASK != 0 {
-            return Err(StoreError::Corrupt { what: "row flags" });
-        }
-        let ipv4 =
-            if flags & FLAG_IPV4 != 0 { Some(decode_ip(&mut r, "row.ipv4")?) } else { None };
-        let ipv6 =
-            if flags & FLAG_IPV6 != 0 { Some(decode_ip(&mut r, "row.ipv6")?) } else { None };
-        let ri_len = r.varint("row.routerinfo-len")? as usize;
-        let ri = r.bytes(ri_len, "row.routerinfo")?.to_vec();
-        observations.push(ObservedRouterInfo {
-            hash,
-            peer_id: peer_id as u32,
-            caps: CapsString::from(caps_str.as_str()),
-            ipv4,
-            ipv6,
-            has_introducers: flags & FLAG_INTRODUCERS != 0,
-            day,
-        });
-        router_infos.push(ri);
-    }
-    let words = n_rows.div_ceil(64);
-    let mut lanes = Vec::with_capacity(n_vantages);
-    for _ in 0..n_vantages {
-        let positions = r.id_run("segment.lane")?;
-        let mut lane = vec![0u64; words];
-        for pos in positions {
-            let pos = pos as usize;
-            if pos >= n_rows {
-                return Err(StoreError::Corrupt { what: "lane position" });
-            }
-            lane[pos / 64] |= 1u64 << (pos % 64);
-        }
-        lanes.push(lane);
-    }
-    if !r.is_empty() {
-        return Err(StoreError::Corrupt { what: "segment trailing bytes" });
-    }
-    Ok(DaySegment { day, observations, router_infos, lanes, words })
 }
 
 fn decode_ip(r: &mut Reader<'_>, what: &'static str) -> Result<PeerIp, StoreError> {

@@ -51,7 +51,8 @@ pub struct Knobs {
     pub fleet: usize,
     /// Fig. 14 replicates per sweep point (`I2PSCOPE_REPLICATES`).
     pub replicates: usize,
-    /// Sweep threads (`I2PSCOPE_THREADS`, 0 = one per core).
+    /// Worker threads of the engine fill and the sweeps
+    /// (`I2PSCOPE_THREADS`, 0 = one per core).
     pub threads: usize,
     /// Harvest visibility model (`I2PSCOPE_MODEL`: uniform|keyspace).
     pub model: Model,
@@ -163,15 +164,23 @@ impl Knobs {
     }
 
     /// The configured harvest of `world` over `days`: this fleet, under
-    /// this visibility model and fault plane.
+    /// this visibility model and fault plane, filled by `threads`
+    /// workers (0 = one per core). The lanes are identical at every
+    /// worker count.
     pub fn engine<'w>(&self, world: &'w World, days: Range<u64>) -> HarvestEngine<'w> {
-        HarvestEngine::build_faulted(
+        let threads = match self.threads {
+            0 => i2p_measure::lab::default_threads(),
+            n => n,
+        };
+        let mut engine = HarvestEngine::with_vantages_model_threads(
             world,
-            &self.fleet(),
+            self.fleet().vantages,
             days,
             &self.model.visibility(),
-            &self.plane(),
-        )
+            threads,
+        );
+        engine.apply_outages(&self.plane());
+        engine
     }
 }
 
@@ -547,7 +556,7 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
     } else {
         Snapshot::capture(&knobs.engine(&world, 0..knobs.days))
     };
-    let bytes = snapshot.to_bytes()?;
+    let archive_len = snapshot.to_bytes()?.len();
     snapshot.write_to_with(out_path, &plane)?;
     let _ = writeln!(
         out,
@@ -560,8 +569,8 @@ pub fn harvest(knobs: &Knobs, out_path: &Path, resume: bool) -> Result<String, S
     let _ = writeln!(
         out,
         "snapshot: {} bytes ({:.1} B/row), world seed {} scale {}",
-        bytes.len(),
-        bytes.len() as f64 / snapshot.total_rows().max(1) as f64,
+        archive_len,
+        archive_len as f64 / snapshot.total_rows().max(1) as f64,
         knobs.seed,
         knobs.scale
     );
